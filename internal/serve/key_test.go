@@ -1,6 +1,10 @@
 package serve
 
-import "testing"
+import (
+	"context"
+	"testing"
+	"time"
+)
 
 // TestKeyGolden pins the exact key strings produced for fixed payloads.
 // The key preimage folds in store.FormatVersion, so these literals break —
@@ -51,5 +55,56 @@ func TestKeyDistinguishes(t *testing.T) {
 		if other == base {
 			t.Fatalf("changing %s did not change the key", name)
 		}
+	}
+}
+
+// TestKeyGoldenRealCells pins the key strings production code derives for
+// one real cell of each kind, observed end to end: the cells run through
+// the public submit path and the test checks that exactly these keys are
+// resident in the result cache afterwards. TestKeyGolden only pins the
+// hash over synthetic payloads; this test catches a reordered or retyped
+// key struct, a changed kind tag, or a config field leaking into (or
+// dropping out of) a preimage — any of which would silently orphan every
+// persisted store entry without a store.FormatVersion bump.
+func TestKeyGoldenRealCells(t *testing.T) {
+	m := NewManager(Config{QueueDepth: 8, JobWorkers: 1, SimWorkers: 2})
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		m.Shutdown(ctx)
+	})
+	run := func(j *Job, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+		defer cancel()
+		if err := j.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if st := j.Status(); st.State != JobDone {
+			t.Fatalf("%s job ended %s: %s", st.Kind, st.State, st.Error)
+		}
+	}
+	// exchange2 under OoO and on the in-order core, quick sampling.
+	run(m.SubmitSweep(SweepRequest{Workloads: []string{"exchange2"}, Policies: []string{"OoO"}, Sampling: SamplingSpec{Quick: true}}))
+	// spectre-v1-cache under OoO with the manager's default ooo.DefaultParams().
+	run(m.SubmitAttack(AttackRequest{Attacks: []string{"spectre-v1-cache"}, Policies: []string{"OoO"}, NoInOrder: true}))
+	run(m.SubmitGadgets(GadgetsRequest{Programs: []string{"meltdown"}}))
+
+	want := []string{
+		"sweep-cell:69fede98c7b9e5ff248434662ad29a58",  // exchange2 / OoO, quick
+		"sweep-cell:f32619419dba2654f5795f4c753d3a8c",  // exchange2 / in-order, quick
+		"attack-cell:b405738c26845d26c7678aa75e7bc87c", // spectre-v1-cache / OoO
+		"gadget:6c5f0ac8dc24149ec89ce6e3ae1b82d5",      // meltdown census entry
+	}
+	for _, k := range want {
+		if !m.Cache().Contains(k) {
+			t.Errorf("cache does not hold golden key %s", k)
+		}
+	}
+	if got := m.Cache().Len(); got != len(want) {
+		t.Errorf("cache holds %d entries, want exactly the %d golden keys", got, len(want))
 	}
 }
