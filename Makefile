@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench-smoke bench-json bench-trajectory golden-identity serve-smoke dist-smoke store-smoke load-smoke fuzz-smoke vet ndavet contract-check lint fmt fmt-check ci
+.PHONY: build test race bench-smoke bench-json bench-trajectory golden-identity serve-smoke dist-smoke store-smoke load-smoke fuzz-smoke vet ndavet contract-check perfbench-check lint fmt fmt-check ci
 
 ## build: compile every package and command
 build:
@@ -95,11 +95,17 @@ ndavet:
 contract-check:
 	sh scripts/layer_contract.sh
 
+## perfbench-check: vet and test the benchmark's nested module. go build
+## ./... and go test ./... never compile perfbench/, so a removed or renamed
+## API it depends on would otherwise surface only when the benchmark runs
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 ## lint: vet, the NDA gadget analyzer over every built-in program (fails
 ## if any static verdict deviates from Table 2 or a workload grows a
-## chosen-code gadget), ndavet over the repo's own source, and the
-## README layer-contract drift check
-lint: vet ndavet contract-check
+## chosen-code gadget), ndavet over the repo's own source, the README
+## layer-contract drift check, and the benchmark module's vet and tests
+lint: vet ndavet contract-check perfbench-check
 	$(GO) run ./cmd/ndalint -check
 
 ## fmt: rewrite sources with gofmt

@@ -54,7 +54,7 @@ func benchSpecs(b *testing.B, names ...string) []workload.Spec {
 func BenchmarkFig4SpectreV1CacheBaseline(b *testing.B) {
 	var margin float64
 	for i := 0; i < b.N; i++ {
-		out, err := attack.Run(attack.SpectreV1Cache, core.Baseline(), ooo.DefaultParams())
+		out, err := attack.RunCtx(context.Background(), attack.SpectreV1Cache, core.Baseline(), ooo.DefaultParams())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func BenchmarkFig4SpectreV1CacheBaseline(b *testing.B) {
 func BenchmarkFig4SpectreV1BTBBaseline(b *testing.B) {
 	var margin float64
 	for i := 0; i < b.N; i++ {
-		out, err := attack.Run(attack.SpectreV1BTB, core.Baseline(), ooo.DefaultParams())
+		out, err := attack.RunCtx(context.Background(), attack.SpectreV1BTB, core.Baseline(), ooo.DefaultParams())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -100,7 +100,7 @@ func BenchmarkFig5BTBMispredict(b *testing.B) {
 func BenchmarkFig8SpectreV1UnderNDA(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, kind := range []attack.Kind{attack.SpectreV1Cache, attack.SpectreV1BTB} {
-			out, err := attack.Run(kind, core.Permissive(), ooo.DefaultParams())
+			out, err := attack.RunCtx(context.Background(), kind, core.Permissive(), ooo.DefaultParams())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -116,7 +116,7 @@ func BenchmarkFig8SpectreV1UnderNDA(b *testing.B) {
 func BenchmarkTable2AttackMatrix(b *testing.B) {
 	var matched float64
 	for i := 0; i < b.N; i++ {
-		cells, err := attack.Matrix(ooo.DefaultParams())
+		cells, err := attack.MatrixCtx(context.Background(), ooo.DefaultParams(), 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -140,7 +140,7 @@ func BenchmarkFig7CPI(b *testing.B) {
 	pols := []core.Policy{core.Baseline(), core.Permissive(), core.FullProtection()}
 	var permOverhead float64
 	for i := 0; i < b.N; i++ {
-		sw, err := harness.RunSweep(specs, pols, true, benchConfig(), nil)
+		sw, err := harness.RunSweepCtx(context.Background(), specs, pols, true, benchConfig(), nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -153,7 +153,7 @@ func BenchmarkTable2Overheads(b *testing.B) {
 	specs := benchSpecs(b, "gcc", "mcf")
 	var fullOverhead float64
 	for i := 0; i < b.N; i++ {
-		sw, err := harness.RunSweep(specs, []core.Policy{core.Baseline(), core.FullProtection()}, false, benchConfig(), nil)
+		sw, err := harness.RunSweepCtx(context.Background(), specs, []core.Policy{core.Baseline(), core.FullProtection()}, false, benchConfig(), nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -168,7 +168,7 @@ func BenchmarkFig9Aggregates(b *testing.B) {
 	specs := benchSpecs(b, "gcc", "bwaves")
 	var mlp float64
 	for i := 0; i < b.N; i++ {
-		sw, err := harness.RunSweep(specs, []core.Policy{core.Baseline(), core.Strict()}, false, benchConfig(), nil)
+		sw, err := harness.RunSweepCtx(context.Background(), specs, []core.Policy{core.Baseline(), core.Strict()}, false, benchConfig(), nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -185,7 +185,7 @@ func BenchmarkFig9Aggregates(b *testing.B) {
 func BenchmarkFig9eLogicLatency(b *testing.B) {
 	var deltaPct float64
 	for i := 0; i < b.N; i++ {
-		rs, err := harness.RunFig9e("Permissive", []int{0, 1}, []string{"gcc"}, benchConfig())
+		rs, err := harness.RunFig9eCtx(context.Background(), "Permissive", []int{0, 1}, []string{"gcc"}, benchConfig())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -206,7 +206,7 @@ func BenchmarkQuickSweep92(b *testing.B) {
 	cfg := harness.Quick()
 	var cells float64
 	for i := 0; i < b.N; i++ {
-		sw, err := harness.RunSweep(specs, pols, true, cfg, nil)
+		sw, err := harness.RunSweepCtx(context.Background(), specs, pols, true, cfg, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

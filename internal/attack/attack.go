@@ -162,15 +162,11 @@ func build(kind Kind) (*spec, error) {
 	return nil, fmt.Errorf("attack: unknown kind %q", kind)
 }
 
-// Run executes the PoC on an OoO core under the given policy and analyzes
-// the timing series. Params usually come from ooo.DefaultParams (with
-// MeltdownVulnerable true, the paper's baseline hardware).
-func Run(kind Kind, pol core.Policy, params ooo.Params) (*Outcome, error) {
-	return RunCtx(context.Background(), kind, pol, params)
-}
-
-// RunCtx is Run with cancellation: the core polls ctx.Done() while it runs,
-// so a timeout or job cancellation stops the PoC mid-simulation.
+// RunCtx executes the PoC on an OoO core under the given policy and
+// analyzes the timing series. Params usually come from ooo.DefaultParams
+// (with MeltdownVulnerable true, the paper's baseline hardware). The core
+// polls ctx.Done() while it runs, so a timeout or job cancellation stops
+// the PoC mid-simulation.
 func RunCtx(ctx context.Context, kind Kind, pol core.Policy, params ooo.Params) (*Outcome, error) {
 	s, err := build(kind)
 	if err != nil {
@@ -214,13 +210,9 @@ func SecretRegs(kind Kind) []isa.Reg {
 	return nil
 }
 
-// RunInOrder executes the PoC on the in-order baseline core, which is
-// trivially immune: there is no wrong path at all.
-func RunInOrder(kind Kind) (*Outcome, error) {
-	return RunInOrderCtx(context.Background(), kind)
-}
-
-// RunInOrderCtx is RunInOrder with cancellation (see RunCtx).
+// RunInOrderCtx executes the PoC on the in-order baseline core, which is
+// trivially immune: there is no wrong path at all. Cancellation is as in
+// RunCtx.
 func RunInOrderCtx(ctx context.Context, kind Kind) (*Outcome, error) {
 	s, err := build(kind)
 	if err != nil {

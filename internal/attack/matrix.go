@@ -90,59 +90,51 @@ type Cell struct {
 // Matches reports whether the measured verdict equals the paper's.
 func (c Cell) Matches() bool { return c.Outcome.Leaked == c.Expected }
 
-// Matrix runs every attack under every policy (plus the in-order core) and
-// returns the full grid — the dynamic reproduction of Table 2's security
-// columns and Table 1's "demonstrated" checkmarks — using one worker per
-// CPU.
-func Matrix(params ooo.Params) ([]Cell, error) {
-	return MatrixParallel(params, 0)
+// Cell places the outcome in the matrix: its (attack, policy) slot paired
+// with Table 2's expected verdict. The in-order core has no Expected entry,
+// so its cells expect the attack to be blocked.
+func (o *Outcome) Cell() Cell {
+	return Cell{Attack: o.Attack, Policy: o.Policy, Outcome: o, Expected: Expected[o.Attack][o.Policy]}
 }
 
-// MatrixParallel is Matrix with an explicit worker bound (0 = one per CPU).
-// Every (attack, policy) PoC builds its own program, memory image, and
-// core, and each verdict lands in the slot its tuple indexes, so the
-// returned grid is identical — in content and order — for any worker
-// count.
-func MatrixParallel(params ooo.Params, workers int) ([]Cell, error) {
-	return MatrixCtx(context.Background(), params, workers)
+// RunCell runs one matrix cell's PoC: on the in-order core when inOrder is
+// set (pol is then ignored), otherwise on an OoO core under pol.
+func RunCell(ctx context.Context, kind Kind, pol core.Policy, inOrder bool, params ooo.Params) (*Outcome, error) {
+	if inOrder {
+		return RunInOrderCtx(ctx, kind)
+	}
+	return RunCtx(ctx, kind, pol, params)
 }
 
-// MatrixCtx is MatrixParallel with cancellation: once ctx is done, no
-// queued (attack, policy) cell starts and in-flight PoCs stop
-// mid-simulation; the ctx error is returned unless a cell failed first.
+// MatrixCtx runs every attack under every policy (plus the in-order core)
+// and returns the full grid — the dynamic reproduction of Table 2's
+// security columns and Table 1's "demonstrated" checkmarks — on up to
+// workers goroutines (0 = one per CPU). Every (attack, policy) PoC builds
+// its own program, memory image, and core, and each verdict lands in the
+// slot its tuple indexes, so the returned grid is identical — in content
+// and order — for any worker count. Once ctx is done, no queued cell
+// starts and in-flight PoCs stop mid-simulation; the ctx error is returned
+// unless a cell failed first.
 func MatrixCtx(ctx context.Context, params ooo.Params, workers int) ([]Cell, error) {
 	kinds := All()
 	pols := core.All()
 	perKind := len(pols) + 1 // every policy, then the in-order core
 	cells := make([]Cell, len(kinds)*perKind)
 	err := par.RunCtx(ctx, len(cells), workers, func(i int) error {
-		kind := kinds[i/perKind]
 		pi := i % perKind
-		if pi == len(pols) {
-			out, err := RunInOrderCtx(ctx, kind)
-			if err != nil {
-				if cerr := ctx.Err(); cerr != nil {
-					return cerr
-				}
-				return fmt.Errorf("matrix: %w", err)
-			}
-			cells[i] = Cell{Attack: kind, Policy: "In-Order", Outcome: out, Expected: false}
-			return nil
+		inOrder := pi == len(pols)
+		var pol core.Policy
+		if !inOrder {
+			pol = pols[pi]
 		}
-		pol := pols[pi]
-		out, err := RunCtx(ctx, kind, pol, params)
+		out, err := RunCell(ctx, kinds[i/perKind], pol, inOrder, params)
 		if err != nil {
 			if cerr := ctx.Err(); cerr != nil {
 				return cerr
 			}
 			return fmt.Errorf("matrix: %w", err)
 		}
-		cells[i] = Cell{
-			Attack:   kind,
-			Policy:   pol.Name,
-			Outcome:  out,
-			Expected: Expected[kind][pol.Name],
-		}
+		cells[i] = out.Cell()
 		return nil
 	})
 	if err != nil {

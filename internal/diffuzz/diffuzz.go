@@ -23,6 +23,7 @@
 package diffuzz
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -285,7 +286,7 @@ func Fuzz(seeds []int64, workers int) *Summary {
 	results := make([]*Result, len(seeds))
 	// Job errors are recorded per-slot, never returned: one bad seed must
 	// not mask the rest of the sweep.
-	_ = par.Run(len(seeds), par.Workers(workers), func(i int) error {
+	_ = par.RunCtx(context.Background(), len(seeds), par.Workers(workers), func(i int) error {
 		results[i] = RunSeed(seeds[i])
 		return nil
 	})

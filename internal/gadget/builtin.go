@@ -1,6 +1,7 @@
 package gadget
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -52,15 +53,19 @@ func Builtins() ([]Input, error) {
 	return ins, nil
 }
 
+// Report analyzes the input into its census entry. Attack snippets keep
+// their gadget lists; workload kernels report counts only.
+func (in Input) Report() ProgramReport {
+	return NewProgramReport(in.Name, in.Group, Analyze(in.Prog, in.Cfg), in.Group == "attack")
+}
+
 // BuildReport analyzes every input on up to workers goroutines. Each result
 // lands in the slot its index addresses, so the report is identical for any
 // worker count.
 func BuildReport(ins []Input, workers int) (*Report, error) {
 	r := &Report{Window: DefaultWindow, Programs: make([]ProgramReport, len(ins))}
-	err := par.Run(len(ins), workers, func(i int) error {
-		in := ins[i]
-		an := Analyze(in.Prog, in.Cfg)
-		r.Programs[i] = NewProgramReport(in.Name, in.Group, an, in.Group == "attack")
+	err := par.RunCtx(context.Background(), len(ins), workers, func(i int) error {
+		r.Programs[i] = ins[i].Report()
 		return nil
 	})
 	if err != nil {

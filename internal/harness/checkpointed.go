@@ -15,7 +15,7 @@ import (
 
 // Checkpoint-based SMARTS sampling: instead of simulating the whole region
 // between measurement intervals in detail (the continuous mode of
-// MeasureOoO), the functional emulator fast-forwards to sampling points
+// MeasureOoOCtx), the functional emulator fast-forwards to sampling points
 // spread CheckpointStride instructions apart, captures an architectural
 // checkpoint at each (the Lapidary role), and the timing core runs only the
 // warm-up + measurement window from every checkpoint. This both cuts

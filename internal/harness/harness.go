@@ -34,7 +34,7 @@ type Config struct {
 	Intervals    int
 	MaxCycles    uint64 // per full benchmark run; guards runaway configs
 
-	// UseCheckpoints switches RunSweep to checkpoint-based sampling (see
+	// UseCheckpoints switches RunSweepCtx to checkpoint-based sampling (see
 	// MeasureOoOCheckpointed): the emulator fast-forwards between sampling
 	// points instead of the timing core simulating the gaps.
 	UseCheckpoints bool
@@ -115,14 +115,9 @@ func ctxErr(ctx context.Context, err error) error {
 	return err
 }
 
-// MeasureOoO runs one benchmark under one policy.
-func MeasureOoO(spec workload.Spec, pol core.Policy, cfg Config) (*Measurement, error) {
-	return MeasureOoOCtx(context.Background(), spec, pol, cfg)
-}
-
-// MeasureOoOCtx is MeasureOoO with cancellation: the core polls ctx.Done()
-// while it runs, so a timeout or job cancellation stops the simulation
-// mid-interval rather than after the cell completes.
+// MeasureOoOCtx runs one benchmark under one policy. The core polls
+// ctx.Done() while it runs, so a timeout or job cancellation stops the
+// simulation mid-interval rather than after the cell completes.
 func MeasureOoOCtx(ctx context.Context, spec workload.Spec, pol core.Policy, cfg Config) (*Measurement, error) {
 	prog := spec.Build(hugeIters)
 	c := ooo.NewFromProgram(prog, pol, cfg.Params)
@@ -154,12 +149,8 @@ func MeasureOoOCtx(ctx context.Context, spec workload.Spec, pol core.Policy, cfg
 	return m, nil
 }
 
-// MeasureInOrder runs one benchmark on the in-order core.
-func MeasureInOrder(spec workload.Spec, cfg Config) (*Measurement, error) {
-	return MeasureInOrderCtx(context.Background(), spec, cfg)
-}
-
-// MeasureInOrderCtx is MeasureInOrder with cancellation (see MeasureOoOCtx).
+// MeasureInOrderCtx runs one benchmark on the in-order core, with
+// cancellation as in MeasureOoOCtx.
 func MeasureInOrderCtx(ctx context.Context, spec workload.Spec, cfg Config) (*Measurement, error) {
 	prog := spec.Build(hugeIters)
 	c := inorder.NewFromProgram(prog, cfg.IOParams)
@@ -324,24 +315,39 @@ type cellJob struct {
 	specIdx int
 }
 
-// RunSweep measures every benchmark under every policy (and, when
+// MeasureCell measures one (workload, configuration) cell: the in-order
+// core when inOrder is set, otherwise pol on the OoO core — from ss's
+// checkpoints when cfg.UseCheckpoints is set (ss must then be the
+// workload's series), by continuous sampling otherwise (ss is ignored).
+// The sweep engine and the serving layer both measure cells through here.
+func MeasureCell(ctx context.Context, spec workload.Spec, pol core.Policy, inOrder bool, cfg Config, ss *SampleSeries) (*Measurement, error) {
+	switch {
+	case cfg.UseCheckpoints && inOrder:
+		return MeasureInOrderSamples(ctx, spec, cfg, ss)
+	case cfg.UseCheckpoints:
+		return MeasureOoOSamples(ctx, spec, pol, cfg, ss)
+	case inOrder:
+		return MeasureInOrderCtx(ctx, spec, cfg)
+	default:
+		return MeasureOoOCtx(ctx, spec, pol, cfg)
+	}
+}
+
+// RunSweepCtx measures every benchmark under every policy (and, when
 // includeInOrder is set, the in-order core), fanning the cells out over
 // cfg.Workers goroutines. progress, if non-nil, receives one line per
 // completed cell; it is called from at most one goroutine at a time, in
 // completion order.
 //
+// Cancellation: once ctx is done, no queued cell starts, in-flight cells
+// stop mid-simulation (the cores poll ctx.Done()), no further progress
+// lines are emitted, and the ctx error is returned. Job errors from cells
+// that ran take precedence.
+//
 // Determinism: every cell simulation derives all of its state from its
 // (policy, workload) tuple — fresh program, memory image, core, and
 // checkpoint series — and results land in index-addressed slots, so the
 // returned Sweep is bit-identical for any worker count.
-func RunSweep(specs []workload.Spec, policies []core.Policy, includeInOrder bool, cfg Config, progress func(string)) (*Sweep, error) {
-	return RunSweepCtx(context.Background(), specs, policies, includeInOrder, cfg, progress)
-}
-
-// RunSweepCtx is RunSweep with cancellation: once ctx is done, no queued
-// cell starts, in-flight cells stop mid-simulation (the cores poll
-// ctx.Done()), no further progress lines are emitted, and the ctx error is
-// returned. Job errors from cells that ran take precedence.
 func RunSweepCtx(ctx context.Context, specs []workload.Spec, policies []core.Policy, includeInOrder bool, cfg Config, progress func(string)) (*Sweep, error) {
 	var workloads, configs []string
 	for _, spec := range specs {
@@ -425,18 +431,11 @@ func RunSweepCtx(ctx context.Context, specs []workload.Spec, policies []core.Pol
 	}
 	err := par.RunCtx(ctx, len(jobs), cfg.workerCount(), func(i int) error {
 		j := jobs[i]
-		var m *Measurement
-		var err error
-		switch {
-		case cfg.UseCheckpoints && j.inOrder:
-			m, err = MeasureInOrderSamples(ctx, j.spec, cellCfg, series[j.specIdx])
-		case cfg.UseCheckpoints:
-			m, err = MeasureOoOSamples(ctx, j.spec, j.pol, cellCfg, series[j.specIdx])
-		case j.inOrder:
-			m, err = MeasureInOrderCtx(ctx, j.spec, cellCfg)
-		default:
-			m, err = MeasureOoOCtx(ctx, j.spec, j.pol, cellCfg)
+		var ss *SampleSeries
+		if cfg.UseCheckpoints {
+			ss = series[j.specIdx]
 		}
+		m, err := MeasureCell(ctx, j.spec, j.pol, j.inOrder, cellCfg, ss)
 		if err != nil {
 			return err
 		}

@@ -36,7 +36,7 @@ func tinySpecs(t *testing.T, names ...string) []workload.Spec {
 
 func TestMeasureOoO(t *testing.T) {
 	s, _ := workload.ByName("exchange2")
-	m, err := MeasureOoO(s, core.Baseline(), tinyConfig())
+	m, err := MeasureOoOCtx(context.Background(), s, core.Baseline(), tinyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestMeasureOoO(t *testing.T) {
 
 func TestMeasureInOrder(t *testing.T) {
 	s, _ := workload.ByName("exchange2")
-	m, err := MeasureInOrder(s, tinyConfig())
+	m, err := MeasureInOrderCtx(context.Background(), s, tinyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestSweepOrderingHolds(t *testing.T) {
 	// workload pair: baseline <= permissive <= full protection << in-order.
 	specs := tinySpecs(t, "gcc", "xalancbmk")
 	pols := []core.Policy{core.Baseline(), core.Permissive(), core.FullProtection()}
-	sw, err := RunSweep(specs, pols, true, tinyConfig(), nil)
+	sw, err := RunSweepCtx(context.Background(), specs, pols, true, tinyConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestSweepOrderingHolds(t *testing.T) {
 func TestRenderers(t *testing.T) {
 	specs := tinySpecs(t, "exchange2", "xz")
 	pols := []core.Policy{core.Baseline(), core.Permissive()}
-	sw, err := RunSweep(specs, pols, true, tinyConfig(), nil)
+	sw, err := RunSweepCtx(context.Background(), specs, pols, true, tinyConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestFig5BTBPenalty(t *testing.T) {
 }
 
 func TestFig9eSensitivity(t *testing.T) {
-	rs, err := RunFig9e("Permissive", []int{0, 1, 2}, []string{"gcc"}, tinyConfig())
+	rs, err := RunFig9eCtx(context.Background(), "Permissive", []int{0, 1, 2}, []string{"gcc"}, tinyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,13 +177,13 @@ func TestRunSweepDeterministicAcrossWorkers(t *testing.T) {
 		cfg.UseCheckpoints = checkpoints
 
 		cfg.Workers = 1
-		serial, err := RunSweep(specs, pols, true, cfg, nil)
+		serial, err := RunSweepCtx(context.Background(), specs, pols, true, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfg.Workers = 8
 		var lines []string
-		parallel, err := RunSweep(specs, pols, true, cfg, func(s string) { lines = append(lines, s) })
+		parallel, err := RunSweepCtx(context.Background(), specs, pols, true, cfg, func(s string) { lines = append(lines, s) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,7 +206,7 @@ func TestRunSweepErrorCancels(t *testing.T) {
 	cfg.MaxCycles = 1 // every cell blows its cycle budget during warm-up
 	cfg.Workers = 4
 	var progressed int
-	sw, err := RunSweep(tinySpecs(t, "gcc", "xz"), []core.Policy{core.Baseline(), core.Permissive()}, false, cfg,
+	sw, err := RunSweepCtx(context.Background(), tinySpecs(t, "gcc", "xz"), []core.Policy{core.Baseline(), core.Permissive()}, false, cfg,
 		func(string) { progressed++ })
 	if err == nil {
 		t.Fatal("cycle-budget error must propagate out of the sweep")
@@ -288,7 +288,7 @@ func TestCheckpointedSamplingAgrees(t *testing.T) {
 	// under the same policy; the CPIs must land in the same ballpark.
 	s, _ := workload.ByName("exchange2")
 	cfg := tinyConfig()
-	cont, err := MeasureOoO(s, core.Baseline(), cfg)
+	cont, err := MeasureOoOCtx(context.Background(), s, core.Baseline(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +314,7 @@ func TestCheckpointedSamplingAgrees(t *testing.T) {
 func TestCheckpointedSweep(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.UseCheckpoints = true
-	sw, err := RunSweep(tinySpecs(t, "xz"), []core.Policy{core.Baseline(), core.FullProtection()}, true, cfg, nil)
+	sw, err := RunSweepCtx(context.Background(), tinySpecs(t, "xz"), []core.Policy{core.Baseline(), core.FullProtection()}, true, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -182,16 +182,12 @@ type Fig9eResult struct {
 	CPI    float64
 }
 
-// RunFig9e measures CPI sensitivity to extra NDA wake-up latency (0, 1, and
-// 2 cycles of delayed broadcast for newly-safe instructions) for the given
-// base policy across the benchmark list. The (delay, benchmark) points fan
-// out over cfg.Workers goroutines; each point's CPI lands in a slot indexed
-// by its tuple, so the results are independent of scheduling.
-func RunFig9e(policyName string, delays []int, specNames []string, cfg Config) ([]Fig9eResult, error) {
-	return RunFig9eCtx(context.Background(), policyName, delays, specNames, cfg)
-}
-
-// RunFig9eCtx is RunFig9e with cancellation (see RunSweepCtx).
+// RunFig9eCtx measures CPI sensitivity to extra NDA wake-up latency (0, 1,
+// and 2 cycles of delayed broadcast for newly-safe instructions) for the
+// given base policy across the benchmark list. The (delay, benchmark)
+// points fan out over cfg.Workers goroutines; each point's CPI lands in a
+// slot indexed by its tuple, so the results are independent of
+// scheduling. Cancellation is as in RunSweepCtx.
 func RunFig9eCtx(ctx context.Context, policyName string, delays []int, specNames []string, cfg Config) ([]Fig9eResult, error) {
 	specs := make([]workload.Spec, len(specNames))
 	for i, name := range specNames {

@@ -9,6 +9,7 @@ import (
 	"nda/internal/core"
 	"nda/internal/gadget"
 	"nda/internal/harness"
+	"nda/internal/ooo"
 	"nda/internal/workload"
 )
 
@@ -42,110 +43,206 @@ type CellRequest struct {
 	Program string `json:"program,omitempty"`
 }
 
-// cellTask is the validated, name-resolved form of a CellRequest.
-type cellTask struct {
-	kind string
+// The cell kinds (CellRequest.Kind). Sweep and attack jobs report their
+// cell kind as their job kind.
+const (
+	kindSweep  = "sweep"
+	kindAttack = "attack"
+	kindGadget = "gadget"
+)
 
-	spec workload.Spec
-	pol  core.Policy
-	in   bool
-	cfg  harness.Config
-	spl  SamplingSpec
+// cell is one unit of cacheable work, built by exactly one constructor per
+// kind (sweepCell, matrixCell, censusCell). Those constructors, and the
+// CellRequest.cell switch that picks one, are the only code that knows
+// what a kind means. Job tasks and POST /v1/cell both build cells through
+// them, and Manager.resolve is the one path every cell takes through the
+// cache tiers, the fleet, and the counters.
+type cell struct {
+	key     string                                                      // content address in every cache tier
+	req     CellRequest                                                 // ships the cell to a fleet worker
+	compute func(ctx context.Context, m *Manager, c *cell) (any, error) // local evaluation on a miss
+	decode  func([]byte) (any, error)                                   // inverse of the value's canonical JSON
 
-	attack attack.Kind
-	gadget gadget.Input
+	// Inputs of the local compute, resolved once at construction.
+	spec   workload.Spec
+	pol    core.Policy    // zero for in-order and gadget cells
+	cfg    harness.Config // sweep cells: the sampling config the cell runs with
+	params ooo.Params     // attack cells: the micro-architecture
 }
 
-func (r CellRequest) task() (*cellTask, error) {
-	t := &cellTask{kind: r.Kind}
+// decodeAs decodes a tier's or a worker's bytes into a fresh *T.
+func decodeAs[T any](b []byte) (any, error) {
+	v := new(T)
+	if err := json.Unmarshal(b, v); err != nil {
+		return nil, err
+	}
+	return v, nil
+}
+
+// sweepCellKey describes everything a sweep cell's result depends on. The
+// embedded harness.Config carries the full sampling spec and ooo.Params;
+// Workers is zeroed before hashing because parallelism must never change
+// identity.
+type sweepCellKey struct {
+	Workload string         `json:"workload"`
+	InOrder  bool           `json:"in_order"`
+	Policy   core.Policy    `json:"policy"`
+	Config   harness.Config `json:"config"`
+}
+
+// sweepCell builds one (workload, configuration) cell of the performance
+// sweep: pol on the OoO core, or the in-order core when inOrder is set.
+// sampling is the spec as the client wrote it (a worker resolves it to the
+// identical config); cfg is its resolution.
+func sweepCell(spec workload.Spec, pol core.Policy, inOrder bool, sampling SamplingSpec, cfg harness.Config) cell {
+	c := cell{
+		req:     CellRequest{Kind: kindSweep, Workload: spec.Name, InOrder: inOrder, Sampling: sampling},
+		compute: measureWorkload,
+		decode:  decodeAs[harness.Measurement],
+		spec:    spec,
+		pol:     pol,
+		cfg:     cfg,
+	}
+	if !inOrder {
+		c.req.Policy = pol.Name
+	}
+	c.cfg.Workers = 0
+	c.key = Key("sweep-cell", sweepCellKey{Workload: spec.Name, InOrder: inOrder, Policy: pol, Config: c.cfg})
+	// Cells saturate the pool on their own; per-sample fan-out inside a
+	// checkpointed cell stays serial, exactly as in harness.RunSweepCtx.
+	c.cfg.Workers = 1
+	return c
+}
+
+// measureWorkload is a sweep cell's local compute. In checkpoint mode the
+// workload's sample series is itself cache-resolved first, so the
+// functional fast-forward and checkpoint capture happen once per
+// (workload, sampling spec) per process; in fleet mode the series lives and
+// is reused on whichever workers simulate that workload's cells.
+func measureWorkload(ctx context.Context, m *Manager, c *cell) (any, error) {
+	var ss *harness.SampleSeries
+	if c.cfg.UseCheckpoints {
+		var err error
+		if ss, err = m.samples(ctx, c.spec, c.cfg); err != nil {
+			return nil, err
+		}
+	}
+	mres, err := harness.MeasureCell(ctx, c.spec, c.pol, c.req.InOrder, c.cfg, ss)
+	if err != nil {
+		return nil, err
+	}
+	m.metrics.Simulations.Add(1)
+	m.metrics.CyclesSimulated.Add(int64(mres.Cycles))
+	return mres, nil
+}
+
+// attackCellKey describes one (attack, policy) security-matrix cell.
+type attackCellKey struct {
+	Attack  attack.Kind `json:"attack"`
+	InOrder bool        `json:"in_order"`
+	Policy  core.Policy `json:"policy"`
+	Params  ooo.Params  `json:"params"`
+}
+
+// matrixCell builds one (attack, configuration) cell of the security
+// matrix: pol on an OoO core with params, or the in-order core when
+// inOrder is set.
+func matrixCell(kind attack.Kind, pol core.Policy, inOrder bool, params ooo.Params) cell {
+	c := cell{
+		key:     Key("attack-cell", attackCellKey{Attack: kind, InOrder: inOrder, Policy: pol, Params: params}),
+		req:     CellRequest{Kind: kindAttack, Attack: string(kind), InOrder: inOrder},
+		compute: simulatePoC,
+		decode:  decodeAs[attack.Outcome],
+		pol:     pol,
+		params:  params,
+	}
+	if !inOrder {
+		c.req.Policy = pol.Name
+	}
+	return c
+}
+
+// simulatePoC is an attack cell's local compute.
+func simulatePoC(ctx context.Context, m *Manager, c *cell) (any, error) {
+	out, err := attack.RunCell(ctx, attack.Kind(c.req.Attack), c.pol, c.req.InOrder, c.params)
+	if err != nil {
+		return nil, err
+	}
+	m.metrics.Simulations.Add(1)
+	m.metrics.CyclesSimulated.Add(int64(out.Cycles))
+	return out, nil
+}
+
+// gadgetKey identifies one program's static census entry.
+type gadgetKey struct {
+	Program string `json:"program"`
+	Window  int    `json:"window"`
+}
+
+// censusCell builds one program's static gadget-census entry. The caller
+// has checked that program is a built-in (knownProgram).
+func censusCell(program string) cell {
+	return cell{
+		key:     Key("gadget", gadgetKey{Program: program, Window: gadget.DefaultWindow}),
+		req:     CellRequest{Kind: kindGadget, Program: program},
+		compute: analyzeProgram,
+		decode:  decodeAs[gadget.ProgramReport],
+	}
+}
+
+// analyzeProgram is a census cell's local compute: static analysis only,
+// so it does not count as a simulation.
+func analyzeProgram(_ context.Context, _ *Manager, c *cell) (any, error) {
+	builtins, err := cachedBuiltins()
+	if err != nil {
+		return nil, err
+	}
+	for _, in := range builtins {
+		if in.Name == c.req.Program {
+			pr := in.Report()
+			return &pr, nil
+		}
+	}
+	return nil, fmt.Errorf("serve: unknown program %q", c.req.Program)
+}
+
+// cell validates a worker-side request and builds its cell through the
+// same constructor a job task uses, so a fleet worker and a local job
+// derive the same key and run the same compute for the same tuple. params
+// is the worker's attack-matrix micro-architecture.
+func (r CellRequest) cell(params ooo.Params) (cell, error) {
+	var pol core.Policy
 	switch r.Kind {
-	case "sweep":
-		s, err := workload.ByName(r.Workload)
+	case kindSweep:
+		spec, err := workload.ByName(r.Workload)
 		if err != nil {
-			return nil, err
+			return cell{}, err
 		}
-		t.spec, t.in, t.spl = s, r.InOrder, r.Sampling
-		t.cfg = r.Sampling.resolve()
-		if r.InOrder {
-			if r.Policy != "" {
-				return nil, fmt.Errorf("serve: in-order cell must not name a policy (got %q)", r.Policy)
-			}
-		} else {
-			if t.pol, err = core.ByName(r.Policy); err != nil {
-				return nil, err
-			}
+		if r.InOrder && r.Policy != "" {
+			return cell{}, fmt.Errorf("serve: in-order cell must not name a policy (got %q)", r.Policy)
 		}
-	case "attack":
-		known := false
-		for _, k := range attack.All() {
-			known = known || k == attack.Kind(r.Attack)
-		}
-		if !known {
-			return nil, fmt.Errorf("serve: unknown attack %q", r.Attack)
-		}
-		t.attack, t.in = attack.Kind(r.Attack), r.InOrder
 		if !r.InOrder {
-			var err error
-			if t.pol, err = core.ByName(r.Policy); err != nil {
-				return nil, err
+			if pol, err = core.ByName(r.Policy); err != nil {
+				return cell{}, err
 			}
 		}
-	case "gadget":
-		builtins, err := cachedBuiltins()
+		return sweepCell(spec, pol, r.InOrder, r.Sampling, r.Sampling.resolve()), nil
+	case kindAttack:
+		kind, err := attackKind(r.Attack)
 		if err != nil {
-			return nil, err
+			return cell{}, err
 		}
-		found := false
-		for _, in := range builtins {
-			if in.Name == r.Program {
-				t.gadget, found = in, true
-				break
+		if !r.InOrder {
+			if pol, err = core.ByName(r.Policy); err != nil {
+				return cell{}, err
 			}
 		}
-		if !found {
-			return nil, fmt.Errorf("serve: unknown program %q", r.Program)
+		return matrixCell(kind, pol, r.InOrder, params), nil
+	case kindGadget:
+		if !knownProgram(r.Program) {
+			return cell{}, fmt.Errorf("serve: unknown program %q", r.Program)
 		}
-	default:
-		return nil, fmt.Errorf("serve: unknown cell kind %q (want sweep, attack, or gadget)", r.Kind)
+		return censusCell(r.Program), nil
 	}
-	return t, nil
-}
-
-// RunCell evaluates one validated cell synchronously (no job queue: cells
-// are the fleet's smallest work unit, bounded by the coordinator's
-// per-worker windows, not by this worker's job queue). The result is
-// resolved through this worker's cache like any local cell, so a fleet in
-// front of warmed workers costs one HTTP round-trip per cell and nothing
-// else.
-func (m *Manager) runCell(ctx context.Context, t *cellTask) (any, error) {
-	switch t.kind {
-	case "sweep":
-		return m.measureCell(ctx, nil, t.spec, t.pol, t.in, t.cfg, t.spl)
-	case "attack":
-		return m.attackCell(ctx, nil, t.attack, t.pol, t.in)
-	default:
-		return m.gadgetCell(ctx, nil, t.gadget)
-	}
-}
-
-// remoteCell resolves one cell through the fleet and decodes the winning
-// response into out. The coordinator consults its fleet-shared store under
-// the cell's cache key first — sharedHit reports that the result came from
-// there and no worker was touched. On a real dispatch, the job's
-// per-worker progress counters absorb the dispatch record (retries,
-// hedges, the worker that served it).
-func (m *Manager) remoteCell(ctx context.Context, j *Job, key string, req CellRequest, out any) (sharedHit bool, err error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return false, err
-	}
-	raw, stat, err := m.cfg.Fleet.Do(ctx, "/v1/cell", key, body)
-	j.noteDispatch(stat)
-	if err != nil {
-		return false, err
-	}
-	if err := json.Unmarshal(raw, out); err != nil {
-		return false, fmt.Errorf("serve: undecodable cell response from %s: %w", stat.Worker, err)
-	}
-	return stat.SharedHit, nil
+	return cell{}, fmt.Errorf("serve: unknown cell kind %q (want sweep, attack, or gadget)", r.Kind)
 }

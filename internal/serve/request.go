@@ -2,10 +2,13 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 
 	"nda/internal/attack"
 	"nda/internal/core"
+	"nda/internal/gadget"
 	"nda/internal/harness"
+	"nda/internal/ooo"
 	"nda/internal/workload"
 )
 
@@ -66,46 +69,95 @@ type SweepRequest struct {
 	Sampling  SamplingSpec `json:"sampling,omitempty"`
 }
 
-// sweepTask is the validated, name-resolved form of a SweepRequest. It
-// keeps the sampling spec as written alongside the resolved config: cache
-// keys hash the resolved config, while fleet dispatch forwards the spec so
-// workers resolve it to the identical config themselves.
-type sweepTask struct {
-	specs    []workload.Spec
-	pols     []core.Policy
-	inOrder  bool
-	cfg      harness.Config
-	sampling SamplingSpec
-}
-
-func (r SweepRequest) task() (*sweepTask, error) {
-	t := &sweepTask{inOrder: !r.NoInOrder, cfg: r.Sampling.resolve(), sampling: r.Sampling}
-	if len(r.Workloads) == 0 {
-		t.specs = workload.SPEC()
-	} else {
+// task validates the request and decomposes it into its cells, ordered
+// workload-major as in harness.RunSweepCtx: every policy, then the
+// in-order core. Each cell carries the sampling spec as written alongside
+// the resolved config: cache keys hash the resolved config, while fleet
+// dispatch forwards the spec so workers resolve it to the identical config
+// themselves. Sweeps carry their own ooo.Params in the sampling config, so
+// the manager's attack-matrix params are unused.
+func (r SweepRequest) task(ooo.Params) (*task, error) {
+	specs := workload.SPEC()
+	if len(r.Workloads) > 0 {
+		specs = nil
 		for _, name := range r.Workloads {
 			s, err := workload.ByName(name)
 			if err != nil {
 				return nil, err
 			}
-			t.specs = append(t.specs, s)
+			specs = append(specs, s)
 		}
 	}
-	if len(r.Policies) == 0 {
-		t.pols = core.All()
-	} else {
-		for _, name := range r.Policies {
-			p, err := core.ByName(name)
-			if err != nil {
-				return nil, err
-			}
-			t.pols = append(t.pols, p)
-		}
+	pols, err := policies(r.Policies)
+	if err != nil {
+		return nil, err
 	}
-	if len(t.specs) == 0 || (len(t.pols) == 0 && !t.inOrder) {
+	inOrder := !r.NoInOrder
+	if len(specs) == 0 || (len(pols) == 0 && !inOrder) {
 		return nil, fmt.Errorf("serve: empty sweep (no workloads or no configurations)")
 	}
-	return t, nil
+	cfg := r.Sampling.resolve()
+	cells := make([]cell, 0, len(specs)*(len(pols)+1))
+	for _, spec := range specs {
+		for _, pol := range pols {
+			cells = append(cells, sweepCell(spec, pol, false, r.Sampling, cfg))
+		}
+		if inOrder {
+			cells = append(cells, sweepCell(spec, core.Policy{}, true, r.Sampling, cfg))
+		}
+	}
+	return &task{kind: kindSweep, cells: cells, assemble: func(vals []any) any {
+		return assembleSweep(specs, pols, inOrder, vals)
+	}}, nil
+}
+
+// assembleSweep folds resolved sweep cells into the same Sweep table
+// harness.RunSweepCtx builds, so served results are interchangeable with
+// CLI results.
+func assembleSweep(specs []workload.Spec, pols []core.Policy, inOrder bool, vals []any) *SweepResponse {
+	var workloads, configs []string
+	for _, spec := range specs {
+		workloads = append(workloads, spec.Name)
+	}
+	for _, pol := range pols {
+		configs = append(configs, pol.Name)
+	}
+	if inOrder {
+		configs = append(configs, harness.InOrderName)
+	}
+	sw := harness.NewSweep(workloads, configs)
+	for _, v := range vals {
+		mres := v.(*harness.Measurement)
+		sw.Set(mres.Config, mres.Workload, mres)
+	}
+	resp := &SweepResponse{Sweep: sw}
+	if sw.Baseline(sw.Workloads[0]) != nil {
+		resp.Overheads = make(map[string]float64, len(sw.Configs))
+		for _, cfgName := range sw.Configs {
+			if cfgName == core.Baseline().Name {
+				continue
+			}
+			resp.Overheads[cfgName] = sw.Overhead(cfgName)
+		}
+	}
+	return resp
+}
+
+// policies resolves a request's policy names; empty means every
+// configuration.
+func policies(names []string) ([]core.Policy, error) {
+	if len(names) == 0 {
+		return core.All(), nil
+	}
+	pols := make([]core.Policy, 0, len(names))
+	for _, name := range names {
+		p, err := core.ByName(name)
+		if err != nil {
+			return nil, err
+		}
+		pols = append(pols, p)
+	}
+	return pols, nil
 }
 
 // SweepResponse is the sweep result: the full measurement grid plus the
@@ -125,44 +177,62 @@ type AttackRequest struct {
 	NoInOrder bool     `json:"no_in_order,omitempty"`
 }
 
-type attackTask struct {
-	kinds   []attack.Kind
-	pols    []core.Policy
-	inOrder bool
-}
-
-func (r AttackRequest) task() (*attackTask, error) {
-	t := &attackTask{inOrder: !r.NoInOrder}
-	if len(r.Attacks) == 0 {
-		t.kinds = attack.All()
-	} else {
-		known := map[attack.Kind]bool{}
-		for _, k := range attack.All() {
-			known[k] = true
-		}
+// task validates the request and decomposes it into its cells, laid out as
+// attack.MatrixCtx lays them out: for each attack, every policy in order,
+// then the in-order core. params is the micro-architecture the OoO cells
+// run on.
+func (r AttackRequest) task(params ooo.Params) (*task, error) {
+	kinds := attack.All()
+	if len(r.Attacks) > 0 {
+		kinds = nil
 		for _, name := range r.Attacks {
-			k := attack.Kind(name)
-			if !known[k] {
-				return nil, fmt.Errorf("serve: unknown attack %q", name)
-			}
-			t.kinds = append(t.kinds, k)
-		}
-	}
-	if len(r.Policies) == 0 {
-		t.pols = core.All()
-	} else {
-		for _, name := range r.Policies {
-			p, err := core.ByName(name)
+			k, err := attackKind(name)
 			if err != nil {
 				return nil, err
 			}
-			t.pols = append(t.pols, p)
+			kinds = append(kinds, k)
 		}
 	}
-	if len(t.pols) == 0 && !t.inOrder {
+	pols, err := policies(r.Policies)
+	if err != nil {
+		return nil, err
+	}
+	inOrder := !r.NoInOrder
+	if len(pols) == 0 && !inOrder {
 		return nil, fmt.Errorf("serve: empty attack matrix (no configurations)")
 	}
-	return t, nil
+	cells := make([]cell, 0, len(kinds)*(len(pols)+1))
+	for _, kind := range kinds {
+		for _, pol := range pols {
+			cells = append(cells, matrixCell(kind, pol, false, params))
+		}
+		if inOrder {
+			cells = append(cells, matrixCell(kind, core.Policy{}, true, params))
+		}
+	}
+	return &task{kind: kindAttack, cells: cells, assemble: assembleMatrix}, nil
+}
+
+// assembleMatrix folds resolved attack cells into the matrix response.
+func assembleMatrix(vals []any) any {
+	resp := &AttackResponse{Cells: make([]attack.Cell, len(vals))}
+	for i, v := range vals {
+		resp.Cells[i] = v.(*attack.Outcome).Cell()
+		if !resp.Cells[i].Matches() {
+			resp.Mismatches++
+		}
+	}
+	return resp
+}
+
+// attackKind resolves an attack name.
+func attackKind(name string) (attack.Kind, error) {
+	for _, k := range attack.All() {
+		if k == attack.Kind(name) {
+			return k, nil
+		}
+	}
+	return "", fmt.Errorf("serve: unknown attack %q", name)
 }
 
 // AttackResponse is the evaluated (attack, policy) grid plus the count of
@@ -178,34 +248,31 @@ type GadgetsRequest struct {
 	Programs []string `json:"programs,omitempty"`
 }
 
-type gadgetsTask struct {
-	ins []gadgetInput
-}
-
-// gadgetInput pairs one census input with its position in the request.
-type gadgetInput struct {
-	name string
-}
-
-func (r GadgetsRequest) task() (*gadgetsTask, error) {
-	t := &gadgetsTask{}
-	if len(r.Programs) == 0 {
-		for _, name := range builtinNames() {
-			t.ins = append(t.ins, gadgetInput{name: name})
-		}
-		return t, nil
+// task validates the request and decomposes it into one census cell per
+// program, in request order (all built-ins, in their fixed order, when the
+// request names none).
+func (r GadgetsRequest) task(ooo.Params) (*task, error) {
+	names := r.Programs
+	if len(names) == 0 {
+		names = builtinNames()
 	}
-	known := map[string]bool{}
-	for _, name := range builtinNames() {
-		known[name] = true
-	}
-	for _, name := range r.Programs {
-		if !known[name] {
+	cells := make([]cell, 0, len(names))
+	for _, name := range names {
+		if !knownProgram(name) {
 			return nil, fmt.Errorf("serve: unknown program %q", name)
 		}
-		t.ins = append(t.ins, gadgetInput{name: name})
+		cells = append(cells, censusCell(name))
 	}
-	return t, nil
+	return &task{kind: "gadgets", cells: cells, assemble: assembleCensus}, nil
+}
+
+// assembleCensus folds resolved census cells into the gadget report.
+func assembleCensus(vals []any) any {
+	report := &gadget.Report{Window: gadget.DefaultWindow, Programs: make([]gadget.ProgramReport, len(vals))}
+	for i, v := range vals {
+		report.Programs[i] = *v.(*gadget.ProgramReport)
+	}
+	return report
 }
 
 // builtinNames lists the census programs in their fixed order: attacks in
@@ -220,3 +287,6 @@ func builtinNames() []string {
 	}
 	return names
 }
+
+// knownProgram reports whether name is a census program.
+func knownProgram(name string) bool { return slices.Contains(builtinNames(), name) }

@@ -86,7 +86,7 @@ type Job struct {
 
 	doneCh chan struct{} // closed when the job reaches a terminal state
 
-	run func(ctx context.Context, j *Job) (any, error)
+	run func(ctx context.Context, j *Job) (any, error) // nil once the job has left the queue
 }
 
 // WorkerCells is one worker's share of a distributed job: how many cell
@@ -334,13 +334,13 @@ type Config struct {
 	// StreamHeartbeat is the SSE keep-alive interval on
 	// GET /v1/jobs/{id}?stream=1. 0 means 15s.
 	StreamHeartbeat time.Duration
-	// AdmissionBypass bounds how many store-served jobs may run
-	// concurrently outside the worker pool when the queue is saturated
-	// (store-aware admission). 0 means 2; negative disables the bypass.
-	// Bypass jobs still count toward their tenant's rate quota and
-	// MaxInFlight cap — the cap is a hard concurrency bound either way.
-	AdmissionBypass int
 }
+
+// admissionBypass bounds how many store-served jobs may run concurrently
+// outside the worker pool when the queue is saturated (store-aware
+// admission). Bypass jobs still count toward their tenant's rate quota and
+// MaxInFlight cap — the cap is a hard concurrency bound either way.
+const admissionBypass = 2
 
 // Manager owns the queue, the workers, and the result cache.
 type Manager struct {
@@ -376,9 +376,6 @@ func NewManager(cfg Config) *Manager {
 	}
 	if cfg.Params == (ooo.Params{}) {
 		cfg.Params = ooo.DefaultParams()
-	}
-	if cfg.AdmissionBypass == 0 {
-		cfg.AdmissionBypass = 2
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
@@ -476,34 +473,34 @@ func resolveOpts(opts []SubmitOpts) SubmitOpts {
 
 // SubmitSweep validates and enqueues a sweep job.
 func (m *Manager) SubmitSweep(req SweepRequest, opts ...SubmitOpts) (*Job, error) {
-	t, err := req.task()
-	if err != nil {
-		return nil, err
-	}
-	return m.enqueueAs("sweep", resolveOpts(opts), t.cellKeys(), func(ctx context.Context, j *Job) (any, error) {
-		return m.runSweep(ctx, j, t)
-	})
+	return submitRequest(m, req, opts)
 }
 
 // SubmitAttack validates and enqueues an attack-matrix job.
 func (m *Manager) SubmitAttack(req AttackRequest, opts ...SubmitOpts) (*Job, error) {
-	t, err := req.task()
-	if err != nil {
-		return nil, err
-	}
-	return m.enqueueAs("attack", resolveOpts(opts), t.cellKeys(m.cfg.Params), func(ctx context.Context, j *Job) (any, error) {
-		return m.runAttack(ctx, j, t)
-	})
+	return submitRequest(m, req, opts)
 }
 
 // SubmitGadgets validates and enqueues a gadget-census job.
 func (m *Manager) SubmitGadgets(req GadgetsRequest, opts ...SubmitOpts) (*Job, error) {
-	t, err := req.task()
+	return submitRequest(m, req, opts)
+}
+
+// request is a job request that validates into a task; params is the
+// manager's attack-matrix micro-architecture.
+type request interface {
+	task(params ooo.Params) (*task, error)
+}
+
+// submitRequest validates req into its task and enqueues the task as one
+// job. The task's cell keys double as the store-aware admission probe.
+func submitRequest[R request](m *Manager, req R, opts []SubmitOpts) (*Job, error) {
+	t, err := req.task(m.cfg.Params)
 	if err != nil {
 		return nil, err
 	}
-	return m.enqueueAs("gadgets", resolveOpts(opts), t.cellKeys(), func(ctx context.Context, j *Job) (any, error) {
-		return m.runGadgets(ctx, j, t)
+	return m.enqueueAs(t.kind, resolveOpts(opts), t.cells, func(ctx context.Context, j *Job) (any, error) {
+		return m.runTask(ctx, j, t)
 	})
 }
 
@@ -529,8 +526,8 @@ func (m *Manager) TenantStats() []tenant.Stats {
 	return m.sched.TenantStats()
 }
 
-// enqueue is the untenanted path: local tenant, batch class, no admission
-// keys (tests and internal submissions).
+// enqueue is the untenanted path: local tenant, batch class, no cells for
+// the admission probe (tests and internal submissions).
 func (m *Manager) enqueue(kind string, run func(context.Context, *Job) (any, error)) (*Job, error) {
 	return m.enqueueAs(kind, resolveOpts(nil), nil, run)
 }
@@ -542,7 +539,7 @@ func (m *Manager) enqueue(kind string, run func(context.Context, *Job) (any, err
 // outside the worker pool instead of bouncing (store-aware admission: a
 // saturated simulation queue is no reason to refuse work that needs no
 // simulation).
-func (m *Manager) enqueueAs(kind string, o SubmitOpts, keys []string, run func(context.Context, *Job) (any, error)) (*Job, error) {
+func (m *Manager) enqueueAs(kind string, o SubmitOpts, cells []cell, run func(context.Context, *Job) (any, error)) (*Job, error) {
 	j := &Job{
 		id:     fmt.Sprintf("job-%06d", m.nextID.Add(1)),
 		kind:   kind,
@@ -564,7 +561,7 @@ func (m *Manager) enqueueAs(kind string, o SubmitOpts, keys []string, run func(c
 		// tenant's in-flight cap still apply (the tenant is consuming
 		// service either way), but the job never occupies a queue slot or
 		// a sim worker.
-		if !m.storeResolvable(keys) || m.bypassing >= m.cfg.AdmissionBypass || !m.sched.HasSlot(o.Tenant) {
+		if !m.storeResolvable(cells) || m.bypassing >= admissionBypass || !m.sched.HasSlot(o.Tenant) {
 			m.metrics.JobsRejected.Add(1)
 			return nil, ErrQueueFull
 		}
@@ -610,15 +607,16 @@ func (m *Manager) enqueueAs(kind string, o SubmitOpts, keys []string, run func(c
 	return j, nil
 }
 
-// storeResolvable reports whether every key is already a guaranteed RAM
-// hit or present in the disk store — a job over these cells completes
-// without simulating or dispatching. Called with m.mu held; false when
-// keys are unknown (warm jobs) or empty.
-func (m *Manager) storeResolvable(keys []string) bool {
-	if len(keys) == 0 || m.cfg.AdmissionBypass < 0 {
+// storeResolvable reports whether every cell's key is already a guaranteed
+// RAM hit or present in the disk store — a job over these cells completes
+// without simulating or dispatching. Called with m.mu held; false when the
+// cells are unknown (warm jobs) or empty.
+func (m *Manager) storeResolvable(cells []cell) bool {
+	if len(cells) == 0 {
 		return false
 	}
-	for _, k := range keys {
+	for i := range cells {
+		k := cells[i].key
 		if m.cache.Contains(k) {
 			continue
 		}
@@ -647,6 +645,7 @@ func (m *Manager) Cancel(id string) bool {
 		// between our locks, in which case runJob sees the cancelled
 		// state and returns without running it.
 		m.sched.Remove(j.tenant, j.class, j)
+		j.run = nil
 		j.state = JobCancelled
 		j.errMsg = context.Canceled.Error()
 		m.metrics.JobsCancelled.Add(1)
@@ -696,6 +695,10 @@ func (m *Manager) runJob(j *Job) {
 		return
 	}
 	ctx, cancel := context.WithCancel(m.baseCtx)
+	// The registry keeps finished jobs; dropping run lets their tasks (the
+	// cell lists) be collected while the status and result stay.
+	run := j.run
+	j.run = nil
 	j.state = JobRunning
 	j.cancel = cancel
 	j.version.Add(1)
@@ -704,7 +707,7 @@ func (m *Manager) runJob(j *Job) {
 	defer cancel()
 
 	m.metrics.JobsRunning.Add(1)
-	v, err := j.run(ctx, j)
+	v, err := run(ctx, j)
 	m.metrics.JobsRunning.Add(-1)
 
 	var result []byte

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 
+	"nda/internal/ooo"
 	"nda/internal/tenant"
 )
 
@@ -59,37 +60,37 @@ func (m *Manager) SubmitWarm(req WarmRequest, opts ...SubmitOpts) (*Job, error) 
 	}
 	// Validate every sub-request up front: a warm job must fail at submit
 	// time, not midway through hours of precomputation.
-	var runs []func(ctx context.Context, j *Job) (any, error)
-	for _, r := range req.Sweeps {
-		t, err := r.task()
-		if err != nil {
-			return nil, err
-		}
-		runs = append(runs, func(ctx context.Context, j *Job) (any, error) { return m.runSweep(ctx, j, t) })
+	tasks, err := appendTasks(nil, req.Sweeps, m.cfg.Params)
+	if err == nil {
+		tasks, err = appendTasks(tasks, req.Attacks, m.cfg.Params)
 	}
-	for _, r := range req.Attacks {
-		t, err := r.task()
-		if err != nil {
-			return nil, err
-		}
-		runs = append(runs, func(ctx context.Context, j *Job) (any, error) { return m.runAttack(ctx, j, t) })
+	if err == nil {
+		tasks, err = appendTasks(tasks, req.Gadgets, m.cfg.Params)
 	}
-	for _, r := range req.Gadgets {
-		t, err := r.task()
-		if err != nil {
-			return nil, err
-		}
-		runs = append(runs, func(ctx context.Context, j *Job) (any, error) { return m.runGadgets(ctx, j, t) })
+	if err != nil {
+		return nil, err
 	}
 	o := resolveOpts(opts)
 	o.Class = tenant.Warm
 	return m.enqueueAs("warm", o, nil, func(ctx context.Context, j *Job) (any, error) {
-		for _, run := range runs {
-			if _, err := run(ctx, j); err != nil {
+		for _, t := range tasks {
+			if _, err := m.runTask(ctx, j, t); err != nil {
 				return nil, err
 			}
 		}
 		st := j.Status()
 		return &WarmResponse{Cells: st.DoneCells, Tiers: st.Tiers}, nil
 	})
+}
+
+// appendTasks validates each request into its task and appends it to ts.
+func appendTasks[R request](ts []*task, reqs []R, params ooo.Params) ([]*task, error) {
+	for _, r := range reqs {
+		t, err := r.task(params)
+		if err != nil {
+			return nil, err
+		}
+		ts = append(ts, t)
+	}
+	return ts, nil
 }
