@@ -55,13 +55,30 @@ func (m *Memory) Clone() *Memory {
 
 func pageNum(addr uint64) uint64 { return addr >> PageBits }
 
+// numPages is the number of pages in the 64-bit address space.
+const numPages = 1 << (64 - PageBits)
+
+// pageSpan returns the first page and the number of pages overlapping
+// [addr, addr+size), size > 0. A range that runs past 2^64 wraps to page 0,
+// so callers walk (first+k) mod numPages for k < count rather than comparing
+// against an end page that may sort below the start.
+func pageSpan(addr, size uint64) (first, count uint64) {
+	last := size - 1
+	count = last>>PageBits + (last&(PageSize-1)+addr&(PageSize-1))>>PageBits + 1
+	if count > numPages {
+		count = numPages
+	}
+	return pageNum(addr), count
+}
+
 // SetKernel marks every page overlapping [addr, addr+size) as kernel-only.
 func (m *Memory) SetKernel(addr, size uint64) {
 	if size == 0 {
 		return
 	}
-	for pn := pageNum(addr); pn <= pageNum(addr+size-1); pn++ {
-		m.kernel[pn] = true
+	first, n := pageSpan(addr, size)
+	for k := uint64(0); k < n; k++ {
+		m.kernel[(first+k)%numPages] = true
 	}
 }
 
@@ -70,8 +87,9 @@ func (m *Memory) SetUser(addr, size uint64) {
 	if size == 0 {
 		return
 	}
-	for pn := pageNum(addr); pn <= pageNum(addr+size-1); pn++ {
-		delete(m.kernel, pn)
+	first, n := pageSpan(addr, size)
+	for k := uint64(0); k < n; k++ {
+		delete(m.kernel, (first+k)%numPages)
 	}
 }
 
@@ -84,8 +102,9 @@ func (m *Memory) UserAccessOK(addr uint64, size int) bool {
 	if size <= 0 {
 		return true
 	}
-	for pn := pageNum(addr); pn <= pageNum(addr+uint64(size)-1); pn++ {
-		if m.kernel[pn] {
+	first, n := pageSpan(addr, uint64(size))
+	for k := uint64(0); k < n; k++ {
+		if m.kernel[(first+k)%numPages] {
 			return false
 		}
 	}
@@ -126,8 +145,15 @@ func (m *Memory) Read(addr uint64, size int) uint64 {
 		return uint64(m.LoadByte(addr))
 	case 4, 8:
 		var buf [8]byte
-		for i := 0; i < size; i++ {
-			buf[i] = m.LoadByte(addr + uint64(i))
+		if off := addr & (PageSize - 1); off <= PageSize-uint64(size) {
+			// Within one page: one lookup, one copy.
+			if pg := m.page(addr, false); pg != nil {
+				copy(buf[:size], pg[off:])
+			}
+		} else {
+			for i := 0; i < size; i++ {
+				buf[i] = m.LoadByte(addr + uint64(i))
+			}
 		}
 		if size == 4 {
 			return uint64(binary.LittleEndian.Uint32(buf[:4]))
@@ -147,6 +173,10 @@ func (m *Memory) Write(addr uint64, size int, v uint64) {
 	case 4, 8:
 		var buf [8]byte
 		binary.LittleEndian.PutUint64(buf[:], v)
+		if off := addr & (PageSize - 1); off <= PageSize-uint64(size) {
+			copy(m.page(addr, true)[off:], buf[:size])
+			return
+		}
 		for i := 0; i < size; i++ {
 			m.StoreByte(addr+uint64(i), buf[i])
 		}
@@ -155,18 +185,32 @@ func (m *Memory) Write(addr uint64, size int, v uint64) {
 	}
 }
 
-// StoreBytes copies b into memory starting at addr.
+// StoreBytes copies b into memory starting at addr, one page slice at a
+// time. Every page the range touches is mapped, as byte stores would map
+// it; a range past 2^64 wraps to address 0.
 func (m *Memory) StoreBytes(addr uint64, b []byte) {
-	for i, v := range b {
-		m.StoreByte(addr+uint64(i), v)
+	for len(b) > 0 {
+		n := copy(m.page(addr, true)[addr&(PageSize-1):], b)
+		b = b[n:]
+		addr += uint64(n)
 	}
 }
 
-// LoadBytes copies n bytes starting at addr into a fresh slice.
+// LoadBytes copies n bytes starting at addr into a fresh slice, one page
+// slice at a time. Unmapped pages read as zero and stay unmapped.
 func (m *Memory) LoadBytes(addr uint64, n int) []byte {
 	out := make([]byte, n)
-	for i := range out {
-		out[i] = m.LoadByte(addr + uint64(i))
+	for rest := out; len(rest) > 0; {
+		off := addr & (PageSize - 1)
+		k := len(rest)
+		if k > PageSize-int(off) {
+			k = PageSize - int(off)
+		}
+		if pg := m.page(addr, false); pg != nil {
+			copy(rest[:k], pg[off:])
+		}
+		rest = rest[k:]
+		addr += uint64(k)
 	}
 	return out
 }

@@ -1,6 +1,8 @@
 package mem
 
 import (
+	"bytes"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -93,6 +95,90 @@ func TestPermissions(t *testing.T) {
 	m.SetUser(0x3000, 0x1000)
 	if !m.UserAccessOK(0x3000, 8) {
 		t.Error("SetUser must restore access")
+	}
+}
+
+// TestProtectionWrapsPastTop: a range that runs past 2^64 covers the top
+// page and then page 0. Checking only start <= page <= end pages would see an
+// end page below the start page and visit nothing.
+func TestProtectionWrapsPastTop(t *testing.T) {
+	const top = ^uint64(0) - 3 // 2^64-4: an 8-byte access wraps to page 0
+	m := New()
+	m.SetKernel(0, 1)
+	if m.UserAccessOK(top, 8) {
+		t.Error("access wrapping into kernel page 0 must be rejected")
+	}
+	if !m.UserAccessOK(top, 4) {
+		t.Error("access ending at 2^64-1 must not see page 0")
+	}
+
+	m = New()
+	m.SetKernel(top, 8)
+	if !m.KernelOnly(top) || !m.KernelOnly(0) || m.KernelOnly(PageSize) {
+		t.Errorf("SetKernel(2^64-4, 8) marked pages %v, want the top page and page 0", m.KernelPages())
+	}
+	m.SetUser(top, 8)
+	if len(m.KernelPages()) != 0 {
+		t.Errorf("SetUser(2^64-4, 8) left kernel pages %v", m.KernelPages())
+	}
+}
+
+// TestBulkBytesMatchByteAtATime checks the page-slice copies of StoreBytes
+// and LoadBytes, and the single-lookup 4- and 8-byte Read/Write, against a
+// byte-at-a-time reference: at random offsets and lengths, across page
+// boundaries and across the wrap at the top of the address space, both give
+// the same bytes and map the same pages.
+func TestBulkBytesMatchByteAtATime(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	bases := []uint64{0, 5 * PageSize, ^uint64(0) - 2*PageSize}
+	addr := func() uint64 {
+		return bases[rng.Intn(len(bases))] + uint64(rng.Intn(4*PageSize))
+	}
+	bulk, ref := New(), New()
+	for i := 0; i < 2000; i++ {
+		a := addr()
+		switch rng.Intn(3) {
+		case 0:
+			b := make([]byte, rng.Intn(3*PageSize))
+			rng.Read(b)
+			bulk.StoreBytes(a, b)
+			for j, v := range b {
+				ref.StoreByte(a+uint64(j), v)
+			}
+		case 1:
+			size := []int{4, 8}[rng.Intn(2)]
+			v := rng.Uint64()
+			bulk.Write(a, size, v)
+			for j := 0; j < size; j++ {
+				ref.StoreByte(a+uint64(j), byte(v>>(8*j)))
+			}
+		case 2:
+			size := []int{1, 4, 8}[rng.Intn(3)]
+			var want uint64
+			for j := 0; j < size; j++ {
+				want |= uint64(ref.LoadByte(a+uint64(j))) << (8 * j)
+			}
+			if got := bulk.Read(a, size); got != want {
+				t.Fatalf("Read(%#x, %d) = %#x, want %#x", a, size, got, want)
+			}
+		}
+		a = addr()
+		n := rng.Intn(3 * PageSize)
+		want := make([]byte, n)
+		for j := range want {
+			want[j] = ref.LoadByte(a + uint64(j))
+		}
+		if got := bulk.LoadBytes(a, n); !bytes.Equal(got, want) {
+			t.Fatalf("op %d: LoadBytes(%#x, %d) differs from byte-at-a-time loads", i, a, n)
+		}
+		if bulk.MappedPages() != ref.MappedPages() {
+			t.Fatalf("op %d: %d pages mapped, byte-at-a-time maps %d", i, bulk.MappedPages(), ref.MappedPages())
+		}
+	}
+	for _, pn := range ref.PageNums() {
+		if !bytes.Equal(bulk.PageData(pn), ref.PageData(pn)) {
+			t.Fatalf("page %#x differs", pn)
+		}
 	}
 }
 

@@ -33,6 +33,21 @@ func quiesce(t *testing.T) *Core {
 	return c
 }
 
+// plant enters a hand-built ROB entry into the bookkeeping the pipeline
+// keeps beside the ROB, as issue, dispatch and completion would: the
+// executing set, the issue queue, and the pending-broadcast count.
+func plant(c *Core, e *Entry) {
+	switch {
+	case e.Issued && !e.Node.Completed:
+		c.execInsert(e)
+	case e.InIQ:
+		c.iq = append(c.iq, e.Slot)
+	}
+	if e.Node.Completed && !e.Node.Broadcast && e.DestP != noPReg {
+		c.pendingBcast++
+	}
+}
+
 func TestNextEventCompletionIsMinimum(t *testing.T) {
 	c := quiesce(t)
 	for i, at := range []uint64{900, 350, 4000} {
@@ -40,6 +55,7 @@ func TestNextEventCompletionIsMinimum(t *testing.T) {
 		e.Seq = uint64(i + 1)
 		e.Issued = true
 		e.CompleteAt = at
+		plant(c, e)
 	}
 	if h := c.nextEventCycle(); h != 350 {
 		t.Errorf("horizon = %d, want 350 (earliest CompleteAt)", h)
@@ -52,6 +68,7 @@ func TestNextEventReplayRetry(t *testing.T) {
 	e.Seq = 1
 	e.InIQ = true
 	e.RetryAt = 102
+	plant(c, e)
 	if h := c.nextEventCycle(); h != 102 {
 		t.Errorf("horizon = %d, want 102 (RetryAt)", h)
 	}
@@ -68,6 +85,7 @@ func TestNextEventDeferredBroadcastDelay(t *testing.T) {
 	e.DestP = 10
 	e.HasSafeSince = true
 	e.SafeSince = 98
+	plant(c, e)
 	if h := c.nextEventCycle(); h != 105 {
 		t.Errorf("horizon = %d, want 105 (SafeSince 98 + delay 7)", h)
 	}
@@ -113,6 +131,7 @@ func TestNextEventMinAcrossSources(t *testing.T) {
 	e.Seq = 1
 	e.Issued = true
 	e.CompleteAt = 410
+	plant(c, e)
 	s := c.fqPush()
 	s.seq = 2
 	s.readyAt = 430

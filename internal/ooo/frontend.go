@@ -65,7 +65,7 @@ func (c *Core) dispatchStage() {
 		}
 
 		e.Node.Class = isa.ClassOf(inst)
-		e.Node.UnderGuard = c.unresolvedBranches > 0
+		e.Node.UnderGuard = c.policy.GuardBranches && c.unresolvedBranches > 0
 		if e.Node.Class == isa.ClassBranch {
 			c.unresolvedBranches++
 		}
