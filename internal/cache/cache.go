@@ -60,10 +60,14 @@ func (s Stats) MissRate() float64 {
 }
 
 type way struct {
-	valid bool
 	tag   uint64
-	stamp uint64 // LRU timestamp; larger = more recently used
+	stamp uint64 // LRU timestamp; larger = more recently used; 0 = invalid
 }
+
+// valid reports whether the way holds a line. Every access advances the
+// clock before stamping, so a filled way's stamp is never 0; keeping the
+// bit in the stamp makes a way 16 bytes, not 24.
+func (w *way) valid() bool { return w.stamp != 0 }
 
 // Cache is a single set-associative cache with true-LRU replacement.
 type Cache struct {
@@ -132,7 +136,7 @@ func (c *Cache) Lookup(addr uint64) bool {
 	c.clock++
 	for i := range c.sets[set] {
 		w := &c.sets[set][i]
-		if w.valid && w.tag == tag {
+		if w.valid() && w.tag == tag {
 			w.stamp = c.clock
 			c.stats.Hits++
 			return true
@@ -148,7 +152,7 @@ func (c *Cache) Present(addr uint64) bool {
 	set, tag := c.index(addr)
 	for i := range c.sets[set] {
 		w := &c.sets[set][i]
-		if w.valid && w.tag == tag {
+		if w.valid() && w.tag == tag {
 			return true
 		}
 	}
@@ -165,12 +169,12 @@ func (c *Cache) Install(addr uint64) (evicted bool) {
 	var oldest uint64 = ^uint64(0)
 	for i := range c.sets[set] {
 		w := &c.sets[set][i]
-		if w.valid && w.tag == tag {
+		if w.valid() && w.tag == tag {
 			w.stamp = c.clock
 			return false
 		}
-		if !w.valid {
-			if victim == -1 || c.sets[set][victim].valid {
+		if !w.valid() {
+			if victim == -1 || c.sets[set][victim].valid() {
 				victim = i
 			}
 			oldest = 0
@@ -179,8 +183,8 @@ func (c *Cache) Install(addr uint64) (evicted bool) {
 		}
 	}
 	w := &c.sets[set][victim]
-	evicted = w.valid
-	*w = way{valid: true, tag: tag, stamp: c.clock}
+	evicted = w.valid()
+	*w = way{tag: tag, stamp: c.clock}
 	return evicted
 }
 
@@ -189,8 +193,8 @@ func (c *Cache) Flush(addr uint64) bool {
 	set, tag := c.index(addr)
 	for i := range c.sets[set] {
 		w := &c.sets[set][i]
-		if w.valid && w.tag == tag {
-			w.valid = false
+		if w.valid() && w.tag == tag {
+			w.stamp = 0
 			return true
 		}
 	}

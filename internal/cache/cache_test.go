@@ -73,6 +73,18 @@ func TestFlush(t *testing.T) {
 	if c.Flush(0x80) {
 		t.Error("flush of absent line must report false")
 	}
+	// A flushed way is free: the next fill of its full set takes it
+	// instead of evicting the LRU line.
+	a, b, d := uint64(0x0000), uint64(0x0100), uint64(0x0200)
+	c.Install(a)
+	c.Install(b)
+	c.Flush(a)
+	if ev := c.Install(d); ev {
+		t.Error("filling a flushed way must not evict")
+	}
+	if !c.Present(b) || !c.Present(d) || c.Present(a) {
+		t.Error("fill after flush must keep the live line and drop only the flushed one")
+	}
 }
 
 func TestPresentHasNoSideEffects(t *testing.T) {
