@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench-smoke bench-json bench-trajectory perf-ab golden-identity serve-smoke dist-smoke store-smoke load-smoke fuzz-smoke vet ndavet contract-check perfbench-check lint fmt fmt-check ci
+.PHONY: build test race bench-smoke bench-json bench-trajectory perf-ab perf-report golden-identity serve-smoke dist-smoke store-smoke load-smoke fuzz-smoke vet ndavet contract-check perfbench-check lint fmt fmt-check ci
 
 ## build: compile every package and command
 build:
@@ -52,6 +52,12 @@ WORKLOAD ?= fig7-quick
 PAIRS ?= 3
 perf-ab:
 	sh scripts/perf_ab.sh "$(BASE)" "$(WORKLOAD)" "$(PAIRS)"
+
+## perf-report: profile BenchmarkQuickSweep92 and print each cycle-loop
+## stage's cumulative CPU share (fetch, dispatch, issue, complete, expose,
+## broadcast, commit)
+perf-report:
+	sh scripts/perf_report.sh
 
 ## golden-identity: regenerate the quick sweep and the attack matrix at two
 ## worker counts and byte-diff each against testdata/golden/

@@ -224,6 +224,21 @@ func (r *RAS) Snapshot() RASSnapshot {
 	return s
 }
 
+// Snapshots returns n snapshot buffers sized for this stack, carved from one
+// backing array, so a core can give every in-flight instruction a RAS
+// checkpoint with one allocation. Each buffer's capacity ends where its
+// neighbour's begins: SnapshotInto and CopyInto fill a buffer in place and
+// never reach into another.
+func (r *RAS) Snapshots(n int) []RASSnapshot {
+	k := len(r.entries)
+	backing := make([]uint64, n*k)
+	snaps := make([]RASSnapshot, n)
+	for i := range snaps {
+		snaps[i].entries = backing[i*k : (i+1)*k : (i+1)*k]
+	}
+	return snaps
+}
+
 // SnapshotInto captures the RAS state into dst, reusing dst's backing array
 // when it is already the right size. The allocation-free equivalent of
 // Snapshot for callers that checkpoint on every call/return.

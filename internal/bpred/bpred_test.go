@@ -1,6 +1,7 @@
 package bpred
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -198,6 +199,46 @@ func TestRASSnapshotProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestRASSnapshotsDoNotAlias fills each buffer from Snapshots in turn, by
+// SnapshotInto and by CopyInto, and checks that no write reaches another
+// buffer: a core keeps one per in-flight instruction, all in one array.
+func TestRASSnapshotsDoNotAlias(t *testing.T) {
+	const n = 5
+	r := NewRAS(4)
+	snaps := r.Snapshots(n)
+	if len(snaps) != n {
+		t.Fatalf("len = %d, want %d", len(snaps), n)
+	}
+	want := make([][]uint64, n)
+	for i := range snaps {
+		want[i] = append([]uint64(nil), snaps[i].entries...)
+	}
+	check := func(step string) {
+		t.Helper()
+		for i := range snaps {
+			if !slices.Equal(snaps[i].entries, want[i]) {
+				t.Fatalf("%s: buffer %d = %v, want %v", step, i, snaps[i].entries, want[i])
+			}
+		}
+	}
+	for i := range snaps {
+		// A full stack, so every word of the buffer is written.
+		for k := 0; k < 4; k++ {
+			r.Push(uint64(100*i + k + 1))
+		}
+		r.SnapshotInto(&snaps[i])
+		want[i] = append(want[i][:0], r.entries...)
+		check("SnapshotInto")
+	}
+	src := r.Snapshot()
+	for i := range snaps {
+		src.entries[0] = uint64(1000 + i)
+		src.CopyInto(&snaps[i])
+		want[i] = append(want[i][:0], src.entries...)
+		check("CopyInto")
 	}
 }
 

@@ -37,15 +37,36 @@ type Core struct {
 	rob     []Entry
 	robHead int
 	robLen  int
+	// Per-slot side tables, each carved from one backing array by New:
+	// robRAS[slot] is the RAS checkpoint of the entry in that slot (valid
+	// under HasRASCkpt), and bypassed[slot] lists the ROB slots of older
+	// stores whose addresses were unknown when that load executed, for
+	// Bypass Restriction and violation tracking. A bypassed store is older
+	// than its load, so a squash that frees the store's slot frees the
+	// load's too.
+	robRAS   []bpred.RASSnapshot
+	bypassed [][]int32
 
-	// Schedulers, in age order: ROB ring slots (Entry.Slot). Capacity is
-	// fixed at construction, so dispatch and squash never allocate.
-	iq []int32
+	// The issue queue is a wakeup scheduler over ROB slots. iqLen counts
+	// its entries (InIQ). ready holds those whose counted sources have all
+	// broadcast; issue walks it in ring order from robHead, which is age
+	// order. waiters holds one slotSet per physical register (stride
+	// len(ready) words): the issue-queue entries waiting on that register's
+	// broadcast. A squash clears the squashed entries' bits, so a reused
+	// slot is never woken by its old occupant's producer.
+	iqLen   int
+	ready   slotSet
+	waiters slotSet
+
+	// Load/store queues, in age order: ROB ring slots. Capacity is fixed
+	// at construction, so dispatch and squash never allocate.
 	lq []int32
 	sq []int32
 
-	// Front end. fetchQ is a fixed ring of FetchQSize slots.
+	// Front end. fetchQ is a fixed ring of FetchQSize slots; fqRAS[i] is
+	// the RAS checkpoint of fetchQ[i] (valid under hasRASCkpt).
 	fetchQ      []fetchSlot
+	fqRAS       []bpred.RASSnapshot
 	fqHead      int
 	fqLen       int
 	fetchPC     uint64
@@ -113,9 +134,11 @@ type Core struct {
 	// whose UnderGuard bit cleared this cycle, or -1; exposeSafeLoads
 	// consumes and resets it.
 	guardsClearedFrom int
-	// pendingBcast counts completed register-writing entries awaiting their
-	// tag broadcast; broadcastStage skips its deferred scan when zero.
-	pendingBcast int
+	// bcast is the pending-broadcast set: the ROB slots of completed
+	// register writers awaiting their tag broadcast, in age order
+	// (capacity ROBSize). broadcastStage's deferred arbitration and the
+	// broadcast-delay event walk it instead of the ROB.
+	bcast []int32
 	// fencesInFlight counts un-completed FENCEs in the ROB, the early-out
 	// for olderFencePending's per-issue-candidate scan.
 	fencesInFlight int
@@ -140,6 +163,8 @@ type Core struct {
 	sanWriterBcast []bool
 	sanNodes       []core.Node
 	sanNodePtrs    []*core.Node
+	sanReady       slotSet
+	sanWaiters     slotSet
 
 	stats Stats
 }
@@ -161,7 +186,8 @@ func New(prog *isa.Program, m *mem.Memory, pol core.Policy, p Params) *Core {
 		regReady:      make([]bool, p.PhysRegs),
 		freeList:      make([]int, 0, p.PhysRegs),
 		rob:           make([]Entry, p.ROBSize),
-		iq:            make([]int32, 0, p.IQSize),
+		bypassed:      make([][]int32, p.ROBSize),
+		ready:         newSlotSet(p.ROBSize),
 		lq:            make([]int32, 0, p.LQSize),
 		sq:            make([]int32, 0, p.SQSize),
 		fetchQ:        make([]fetchSlot, p.FetchQSize),
@@ -170,22 +196,21 @@ func New(prog *isa.Program, m *mem.Memory, pol core.Policy, p Params) *Core {
 		userMode:      true,
 		nextSeq:       1,
 		exec:          make([]int32, 0, p.ROBSize),
+		bcast:         make([]int32, 0, p.ROBSize),
 		doneBuf:       make([]*Entry, 0, p.ROBSize),
 
 		guardsClearedFrom: -1,
 	}
+	c.waiters = make(slotSet, p.PhysRegs*len(c.ready))
+	snaps := c.ras.Snapshots(p.ROBSize + p.FetchQSize)
+	c.robRAS, c.fqRAS = snaps[:p.ROBSize], snaps[p.ROBSize:]
+	// A load can bypass at most SQSize stores; each list's capacity ends
+	// where the next slot's begins.
+	bypassed := make([]int32, p.ROBSize*p.SQSize)
 	for i := range c.rob {
-		e := &c.rob[i]
-		e.Slot = int32(i)
-		// Pre-size the per-entry backing stores so the hot path never
-		// allocates: a load can bypass at most SQSize stores, and the RAS
-		// snapshot array matches the stack's entry count.
-		e.bypassed = make([]int32, 0, p.SQSize)
-		c.ras.SnapshotInto(&e.RASBefore)
-		e.reset()
-	}
-	for i := range c.fetchQ {
-		c.ras.SnapshotInto(&c.fetchQ[i].rasBefore)
+		c.rob[i].Slot = int32(i)
+		c.rob[i].reset()
+		c.bypassed[i] = bypassed[i*p.SQSize : i*p.SQSize : (i+1)*p.SQSize]
 	}
 	if p.Sanitize {
 		c.sanWriterMark = make([]uint64, p.PhysRegs)
@@ -193,6 +218,8 @@ func New(prog *isa.Program, m *mem.Memory, pol core.Policy, p Params) *Core {
 		c.sanWriterBcast = make([]bool, p.PhysRegs)
 		c.sanNodes = make([]core.Node, p.ROBSize)
 		c.sanNodePtrs = make([]*core.Node, p.ROBSize)
+		c.sanReady = newSlotSet(p.ROBSize)
+		c.sanWaiters = make(slotSet, len(c.waiters))
 	}
 	// Map arch registers to the first NumGPR physical registers; the rest
 	// form the free list.
@@ -257,14 +284,13 @@ func (c *Core) fqAt(i int) *fetchSlot {
 	return &c.fetchQ[ringIndex(c.fqHead, i, len(c.fetchQ))]
 }
 
-// fqPush appends a fresh slot at the fetch queue's tail, preserving the
-// slot's RAS-snapshot backing array across reuse.
-func (c *Core) fqPush() *fetchSlot {
-	s := c.fqAt(c.fqLen)
+// fqPush appends a fresh slot at the fetch queue's tail and returns it with
+// its RAS checkpoint buffer.
+func (c *Core) fqPush() (*fetchSlot, *bpred.RASSnapshot) {
+	k := ringIndex(c.fqHead, c.fqLen, len(c.fetchQ))
 	c.fqLen++
-	ras := s.rasBefore
-	*s = fetchSlot{rasBefore: ras}
-	return s
+	c.fetchQ[k] = fetchSlot{}
+	return &c.fetchQ[k], &c.fqRAS[k]
 }
 
 // fqPop drops the fetch queue's head slot.
@@ -473,15 +499,15 @@ func (c *Core) nextEventCycle() uint64 {
 	for _, si := range c.exec {
 		h = earlierEvent(h, c.cycle, c.rob[si].CompleteAt)
 	}
-	for _, si := range c.iq {
-		h = earlierEvent(h, c.cycle, c.rob[si].RetryAt)
+	// Only an operand-ready entry can have replayed.
+	for i := c.nextReady(0); i >= 0; i = c.nextReady(i + 1) {
+		h = earlierEvent(h, c.cycle, c.robAt(i).RetryAt)
 	}
 	// A deferred broadcast's SafeSince is at most the current cycle, so
 	// only a nonzero delay can put its expiry in the future.
-	if c.pendingBcast > 0 && c.policy.ExtraBroadcastDelay > 0 {
-		for i := 0; i < c.robLen; i++ {
-			e := c.robAt(i)
-			if e.Node.Completed && !e.Node.Broadcast && e.DestP != noPReg && e.HasSafeSince {
+	if c.policy.ExtraBroadcastDelay > 0 {
+		for _, si := range c.bcast {
+			if e := &c.rob[si]; e.HasSafeSince {
 				h = earlierEvent(h, c.cycle, e.SafeSince+uint64(c.policy.ExtraBroadcastDelay))
 			}
 		}
@@ -525,7 +551,7 @@ func (c *Core) DebugState() string {
 		fq = fmt.Sprintf("fq[%d]{pc=%#x %v valid=%v ready@%d}", c.fqLen, s.pc, s.inst, s.valid, s.readyAt)
 	}
 	return fmt.Sprintf("cyc=%d rob=%d iq=%d lq=%d sq=%d fetchPC=%#x wait=%v dead=%v stall>%d validate>%d %s %s",
-		c.cycle, c.robLen, len(c.iq), len(c.lq), len(c.sq), c.fetchPC, c.fetchWait, c.fetchDead, c.fetchStall, c.commitValidate, head, fq)
+		c.cycle, c.robLen, c.iqLen, len(c.lq), len(c.sq), c.fetchPC, c.fetchWait, c.fetchDead, c.fetchStall, c.commitValidate, head, fq)
 }
 
 // DebugROB lists the in-flight entries (diagnostics).

@@ -1,7 +1,6 @@
 package ooo
 
 import (
-	"nda/internal/bpred"
 	"nda/internal/core"
 	"nda/internal/isa"
 )
@@ -10,10 +9,12 @@ import (
 const noPReg = -1
 
 // Entry is one reorder-buffer entry: a dispatched micro-op and all of its
-// in-flight state. Entries live in a fixed ring; the issue queue and the
-// load/store queues refer to them by ring slot (Entry.Slot), which is stable
-// for an entry's whole lifetime, so the schedulers are plain index slices
-// with no per-dispatch allocation.
+// in-flight state. Entries live in a fixed ring; the schedulers refer to
+// them by ring slot (Entry.Slot), which is stable for an entry's whole
+// lifetime, so they are index slices and slot bitmasks with no per-dispatch
+// allocation. Entry holds no pointers — its RAS checkpoint and bypass list
+// live in per-slot tables on the Core — so resetting or copying one is a
+// plain memory clear or copy, with no GC write barriers.
 type Entry struct {
 	Seq  uint64 // global age; assigned at fetch, monotonically increasing
 	PC   uint64
@@ -29,9 +30,13 @@ type Entry struct {
 	Src1P int // physical sources, or noPReg
 	Src2P int
 
-	// Scheduling state.
+	// Scheduling state. waiting counts the entry's sources that have not
+	// broadcast (a store's data register is not counted, and a register
+	// named twice counts once); the entry is in the ready set while it is
+	// in the issue queue with waiting at zero.
 	InIQ       bool
 	Issued     bool
+	waiting    int32
 	RetryAt    uint64 // earliest re-issue cycle after a forwarding replay
 	CompleteAt uint64 // cycle execution finishes; valid when Issued
 	Result     uint64
@@ -42,23 +47,18 @@ type Entry struct {
 	PredTarget uint64
 	GshCkpt    uint64 // gshare history before this branch's own update
 	HasGshCkpt bool
-	RASBefore  bpred.RASSnapshot // RAS state before this instruction's own push/pop
-	HasRASCkpt bool
+	HasRASCkpt bool // Core.robRAS holds the RAS state before this instruction's own push/pop
 	Taken      bool
 	Target     uint64
 
 	// Memory state.
 	Addr      uint64
 	AddrKnown bool
-	// ForwardSeq is the store this load forwarded from (0 = none).
+	// ForwardSeq is the store this load forwarded from (0 = none). The
+	// stores it bypassed are in Core.bypassed.
 	ForwardSeq uint64
-	// bypassed holds the ROB slots of older stores whose addresses were
-	// unknown when this load executed; used for Bypass Restriction and
-	// violation tracking. A bypassed store is always older than the load,
-	// so a squash that frees the store's slot frees the load's too.
-	bypassed []int32
-	OffChip  bool // load serviced by DRAM (counts toward MLP while in flight)
-	Inflight bool // load access outstanding (between issue and completion)
+	OffChip    bool // load serviced by DRAM (counts toward MLP while in flight)
+	Inflight   bool // load access outstanding (between issue and completion)
 
 	// InvisiSpec state.
 	Invisible  bool // fill hidden at access time
@@ -97,14 +97,13 @@ type TraceEvent struct {
 	Retire    uint64
 }
 
-// reset clears an entry for reuse, preserving its backing storage: the
-// bypassed slice, the RAS snapshot's array (its contents are stale but
-// HasRASCkpt is cleared), and the fixed ring slot.
+// reset clears an entry for reuse, keeping only its fixed ring slot. The
+// slot's side-table rows need no clearing: its RAS checkpoint is read only
+// under HasRASCkpt, and its bypass list is emptied when a load dispatches.
 func (e *Entry) reset() {
-	bypassed := e.bypassed[:0]
-	ras := e.RASBefore
 	slot := e.Slot
-	*e = Entry{bypassed: bypassed, RASBefore: ras, Slot: slot, DestP: noPReg, PrevP: noPReg, Src1P: noPReg, Src2P: noPReg}
+	*e = Entry{} // a clear in place; a composite literal would be built, then copied
+	e.Slot, e.DestP, e.PrevP, e.Src1P, e.Src2P = slot, noPReg, noPReg, noPReg, noPReg
 }
 
 // isMem reports whether the entry is a data-memory operation.
@@ -122,6 +121,7 @@ func covers(sa uint64, ss int, la uint64, ls int) bool {
 }
 
 // fetchSlot is one decoded instruction travelling from fetch to dispatch.
+// Like Entry it holds no pointers; its RAS checkpoint is in Core.fqRAS.
 type fetchSlot struct {
 	seq     uint64
 	pc      uint64
@@ -134,6 +134,5 @@ type fetchSlot struct {
 	predTarget uint64
 	gshCkpt    uint64
 	hasGshCkpt bool
-	rasBefore  bpred.RASSnapshot
 	hasRASCkpt bool
 }

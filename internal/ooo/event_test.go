@@ -35,16 +35,17 @@ func quiesce(t *testing.T) *Core {
 
 // plant enters a hand-built ROB entry into the bookkeeping the pipeline
 // keeps beside the ROB, as issue, dispatch and completion would: the
-// executing set, the issue queue, and the pending-broadcast count.
+// executing set, the issue queue's wakeup scheduler, and the
+// pending-broadcast set.
 func plant(c *Core, e *Entry) {
 	switch {
 	case e.Issued && !e.Node.Completed:
-		c.execInsert(e)
+		c.exec = c.insertByAge(c.exec, e)
 	case e.InIQ:
-		c.iq = append(c.iq, e.Slot)
+		c.iqInsert(e)
 	}
 	if e.Node.Completed && !e.Node.Broadcast && e.DestP != noPReg {
-		c.pendingBcast++
+		c.bcast = c.insertByAge(c.bcast, e)
 	}
 }
 
@@ -101,7 +102,7 @@ func TestNextEventCommitValidate(t *testing.T) {
 
 func TestNextEventFetchQueueReadiness(t *testing.T) {
 	c := quiesce(t)
-	s := c.fqPush()
+	s, _ := c.fqPush()
 	s.seq = 1
 	s.readyAt = 108
 	if h := c.nextEventCycle(); h != 108 {
@@ -132,7 +133,7 @@ func TestNextEventMinAcrossSources(t *testing.T) {
 	e.Issued = true
 	e.CompleteAt = 410
 	plant(c, e)
-	s := c.fqPush()
+	s, _ := c.fqPush()
 	s.seq = 2
 	s.readyAt = 430
 	if h := c.nextEventCycle(); h != 410 {

@@ -20,7 +20,7 @@ func (c *Core) dispatchStage() {
 			return // phantom: stalls until the wrong path squashes
 		}
 		inst := s.inst
-		if c.robLen == len(c.rob) || len(c.iq) >= c.p.IQSize ||
+		if c.robLen == len(c.rob) || c.iqLen >= c.p.IQSize ||
 			(inst.IsLoad() && len(c.lq) >= c.p.LQSize) ||
 			(inst.IsStore() && len(c.sq) >= c.p.SQSize) ||
 			len(c.freeList) == 0 {
@@ -39,10 +39,10 @@ func (c *Core) dispatchStage() {
 		e.GshCkpt = s.gshCkpt
 		e.HasGshCkpt = s.hasGshCkpt
 		if s.hasRASCkpt {
-			// Copy (not alias) the snapshot: the ring slot's backing array
-			// is reused as soon as the slot is, while the entry's
-			// checkpoint must survive until retirement or squash.
-			s.rasBefore.CopyInto(&e.RASBefore)
+			// Copy the checkpoint out of the fetch slot's buffer, which is
+			// reused as soon as the slot is, while the entry's must
+			// survive until retirement or squash.
+			c.fqRAS[c.fqHead].CopyInto(&c.robRAS[e.Slot])
 		}
 		e.HasRASCkpt = s.hasRASCkpt
 
@@ -70,10 +70,9 @@ func (c *Core) dispatchStage() {
 			c.unresolvedBranches++
 		}
 
-		e.InIQ = true
-		//ndavet:allow alloclint:op queue append; backing arrays reach steady capacity during warm-up (bench-gated 0 B/op)
-		c.iq = append(c.iq, e.Slot)
+		c.iqInsert(e)
 		if inst.IsLoad() {
+			c.bypassed[e.Slot] = c.bypassed[e.Slot][:0]
 			//ndavet:allow alloclint:op queue append; backing arrays reach steady capacity during warm-up
 			c.lq = append(c.lq, e.Slot)
 		}
@@ -115,7 +114,7 @@ func (c *Core) fetchStage() {
 		}
 
 		inst, ok := c.prog.At(pc)
-		s := c.fqPush()
+		s, ras := c.fqPush()
 		s.seq = c.nextSeq
 		s.pc = pc
 		s.inst = inst
@@ -155,7 +154,7 @@ func (c *Core) fetchStage() {
 
 		case inst.Op == isa.OpJal:
 			if inst.IsCall() {
-				c.ras.SnapshotInto(&s.rasBefore)
+				c.ras.SnapshotInto(ras)
 				s.hasRASCkpt = true
 				c.ras.Push(next)
 			}
@@ -165,7 +164,7 @@ func (c *Core) fetchStage() {
 			next = s.predTarget
 
 		case inst.Op == isa.OpJalr:
-			c.ras.SnapshotInto(&s.rasBefore)
+			c.ras.SnapshotInto(ras)
 			s.hasRASCkpt = true
 			switch {
 			case c.noSpec:

@@ -97,7 +97,7 @@ func (c *Core) completeExecution() []*Entry {
 		e.Node.Completed = true
 		if e.DestP != noPReg {
 			c.regVal[e.DestP] = e.Result
-			c.pendingBcast++
+			c.bcast = c.insertByAge(c.bcast, e)
 		} else {
 			// Nothing to propagate: destination-less micro-ops are
 			// trivially "broadcast".
@@ -230,12 +230,12 @@ func (c *Core) resolveStore(e *Entry) {
 	// happen even on the violation path: the store resolves exactly once,
 	// and loads older than the squash point live on.
 	for _, li := range c.lq {
-		ld := c.entryAt(li)
-		for i, s := range ld.bypassed {
+		bp := c.bypassed[li]
+		for i, s := range bp {
 			if s == e.Slot {
 				//ndavet:allow alloclint:op removal via append to a prefix reslice; the result is shorter than the original, so no growth
-				ld.bypassed = append(ld.bypassed[:i], ld.bypassed[i+1:]...)
-				ld.Node.BypassGuards--
+				c.bypassed[li] = append(bp[:i], bp[i+1:]...)
+				c.entryAt(li).Node.BypassGuards--
 				break
 			}
 		}
@@ -316,9 +316,10 @@ func (c *Core) exposeLoad(e *Entry) {
 
 // broadcastStage arbitrates the tag broadcast ports: instructions completing
 // this cycle have priority; deferred (completed earlier, newly safe)
-// instructions compete for the remaining ports in age order (§5.1).
+// instructions compete for the remaining ports in age order (§5.1). The
+// deferred candidates are the pending-broadcast set.
 func (c *Core) broadcastStage(completedNow []*Entry) {
-	if c.pendingBcast == 0 {
+	if len(c.bcast) == 0 {
 		return
 	}
 	ports := c.p.BroadcastPorts
@@ -335,14 +336,14 @@ func (c *Core) broadcastStage(completedNow []*Entry) {
 			ports--
 		}
 	}
-	// The deferred walk stops once it has seen every pending entry.
-	pending := c.pendingBcast
-	for i := 0; i < c.robLen && ports > 0 && pending > 0; i++ {
-		e := c.robAt(i)
-		if e.DestP == noPReg || !e.Node.Completed || e.Node.Broadcast {
+	for _, si := range c.bcast {
+		if ports == 0 {
+			break
+		}
+		e := c.entryAt(si)
+		if e.Node.Broadcast {
 			continue
 		}
-		pending--
 		if !c.policy.MayBroadcast(&e.Node, c.atHead(e)) {
 			continue
 		}
@@ -357,13 +358,25 @@ func (c *Core) broadcastStage(completedNow []*Entry) {
 		c.doBroadcast(e)
 		ports--
 	}
+	if ports < c.p.BroadcastPorts {
+		w := 0
+		for _, si := range c.bcast {
+			if !c.rob[si].Node.Broadcast {
+				c.bcast[w] = si
+				w++
+			}
+		}
+		c.bcast = c.bcast[:w]
+	}
 }
 
+// doBroadcast is the tag broadcast: e's destination register becomes
+// ready and wakes its waiters, visible to this cycle's issue stage.
 func (c *Core) doBroadcast(e *Entry) {
 	c.regReady[e.DestP] = true
+	c.wake(e.DestP)
 	e.Node.Broadcast = true
 	e.BcastCycle = c.cycle
-	c.pendingBcast--
 	c.progress = true
 	if c.cycle > e.CompleteAt {
 		c.stats.DeferredBroadcasts++
@@ -582,7 +595,8 @@ func (c *Core) squashFrom(seq, newPC uint64) {
 	// fetch queue's seq range with entries to keep). Slot seqs ascend with
 	// queue position, so dropping is a tail truncation of the ring.
 	for i := c.fqLen - 1; i >= 0; i-- {
-		s := c.fqAt(i)
+		k := ringIndex(c.fqHead, i, len(c.fetchQ))
+		s := &c.fetchQ[k]
 		if s.seq < seq {
 			continue
 		}
@@ -590,7 +604,7 @@ func (c *Core) squashFrom(seq, newPC uint64) {
 			c.gsh.SetHistory(s.gshCkpt)
 		}
 		if s.hasRASCkpt {
-			c.ras.Restore(s.rasBefore)
+			c.ras.Restore(c.fqRAS[k])
 		}
 	}
 	for c.fqLen > 0 && c.fqAt(c.fqLen-1).seq >= seq {
@@ -611,9 +625,9 @@ func (c *Core) squashFrom(seq, newPC uint64) {
 			c.rat[rd] = e.PrevP
 			//ndavet:allow alloclint:op free-list append; the list never exceeds PhysRegs, whose backing array is allocated at reset
 			c.freeList = append(c.freeList, e.DestP)
-			if e.Node.Completed && !e.Node.Broadcast {
-				c.pendingBcast--
-			}
+		}
+		if e.InIQ {
+			c.iqRemove(e)
 		}
 		if e.Inst.Op == isa.OpFence && !e.Node.Completed {
 			c.fencesInFlight--
@@ -622,7 +636,7 @@ func (c *Core) squashFrom(seq, newPC uint64) {
 			c.gsh.SetHistory(e.GshCkpt)
 		}
 		if e.HasRASCkpt {
-			c.ras.Restore(e.RASBefore)
+			c.ras.Restore(c.robRAS[e.Slot])
 		}
 		if e.Node.Class == isa.ClassBranch && !e.Node.GuardResolved && c.unresolvedBranches > 0 {
 			c.unresolvedBranches--
@@ -648,7 +662,7 @@ func (c *Core) squashFrom(seq, newPC uint64) {
 
 func (c *Core) filterQueues(seq uint64) {
 	c.exec = c.filterQueue(c.exec, seq)
-	c.iq = c.filterQueue(c.iq, seq)
+	c.bcast = c.filterQueue(c.bcast, seq)
 	c.lq = c.filterQueue(c.lq, seq)
 	c.sq = c.filterQueue(c.sq, seq)
 }
@@ -669,16 +683,15 @@ func (c *Core) filterQueue(q []int32, seq uint64) []int32 {
 
 // ---- issue & execute ----
 
+// issueStage issues up to IssueWidth ready entries, oldest first. It walks
+// the ready set, not the issue queue: an entry whose operands have not all
+// broadcast is never visited.
 func (c *Core) issueStage() {
 	budget := c.p.IssueWidth
 	issued := 0
-	anyRemoved := false
-	for i := 0; i < len(c.iq) && budget > 0; i++ {
-		e := c.entryAt(c.iq[i])
+	for i := c.nextReady(0); i >= 0 && budget > 0; i = c.nextReady(i + 1) {
+		e := c.robAt(i)
 		if e.RetryAt > c.cycle {
-			continue
-		}
-		if !c.operandsReady(e) {
 			continue
 		}
 		if c.serializeBlocked(e) {
@@ -692,25 +705,13 @@ func (c *Core) issueStage() {
 		}
 		e.Issued = true
 		e.IssuedAt = c.cycle
-		e.InIQ = false
-		c.execInsert(e)
+		c.iqRemove(e)
+		c.exec = c.insertByAge(c.exec, e)
 		if e.CompleteAt < c.nextCompleteAt || len(c.exec) == 1 {
 			c.nextCompleteAt = e.CompleteAt
 		}
-		c.iq[i] = -1
-		anyRemoved = true
 		budget--
 		issued++
-	}
-	if anyRemoved {
-		kept := c.iq[:0]
-		for _, si := range c.iq {
-			if si >= 0 {
-				//ndavet:allow alloclint:op compaction into iq[:0] appends at most len(iq) elements, so it can never grow the backing array
-				kept = append(kept, si)
-			}
-		}
-		c.iq = kept
 	}
 	if issued > 0 {
 		c.stats.ILPSum += uint64(issued)
@@ -719,26 +720,19 @@ func (c *Core) issueStage() {
 	}
 }
 
-// execInsert adds a just-issued entry to the executing set at its age
-// position. Entries issue out of order, but the issue queue is walked in
-// age order, so the entry usually lands at or near the tail.
-func (c *Core) execInsert(e *Entry) {
-	i := len(c.exec)
-	c.exec = c.exec[:i+1] // within capacity: at most ROBSize entries execute
-	for ; i > 0 && c.rob[c.exec[i-1]].Seq > e.Seq; i-- {
-		c.exec[i] = c.exec[i-1]
+// insertByAge adds e's slot at its age position in q, an age-ordered slot
+// list with capacity ROBSize (the executing or the pending-broadcast set),
+// and returns the longer list. Entries issue and complete out of order, but
+// each stage visits them oldest first, so e usually lands at or near the
+// tail.
+func (c *Core) insertByAge(q []int32, e *Entry) []int32 {
+	i := len(q)
+	q = q[:i+1] // within capacity: each set holds at most ROBSize entries
+	for ; i > 0 && c.rob[q[i-1]].Seq > e.Seq; i-- {
+		q[i] = q[i-1]
 	}
-	c.exec[i] = e.Slot
-}
-
-// operandsReady checks source readiness. Stores only need their address
-// base to issue address generation; the data register is read at forwarding
-// time and at commit.
-func (c *Core) operandsReady(e *Entry) bool {
-	if e.Inst.IsStore() {
-		return c.pReady(e.Src1P)
-	}
-	return c.pReady(e.Src1P) && c.pReady(e.Src2P)
+	q[i] = e.Slot
+	return q
 }
 
 // serializeBlocked enforces FENCE (no younger instruction may issue until
@@ -899,15 +893,16 @@ func (c *Core) executeLoad(e *Entry) bool {
 	// replays until the store drains. Address-unknown older stores are
 	// speculatively bypassed and recorded.
 	var fwd *Entry
-	e.bypassed = e.bypassed[:0]
+	bp := &c.bypassed[e.Slot]
+	*bp = (*bp)[:0]
 	for i := len(c.sq) - 1; i >= 0; i-- {
 		s := c.entryAt(c.sq[i])
 		if s.Seq > e.Seq {
 			continue
 		}
 		if !s.Issued || !s.AddrKnown {
-			//ndavet:allow alloclint:op the bypass set is bounded by store-queue length; backing arrays reach steady capacity at warm-up
-			e.bypassed = append(e.bypassed, s.Slot)
+			//ndavet:allow alloclint:op the bypass list is bounded by store-queue length, its preallocated capacity
+			*bp = append(*bp, s.Slot)
 			continue
 		}
 		ssize := s.Inst.MemBytes()
@@ -918,7 +913,7 @@ func (c *Core) executeLoad(e *Entry) bool {
 			fwd = s
 		} else {
 			// Partial overlap or data not yet propagatable: replay.
-			e.bypassed = e.bypassed[:0]
+			*bp = (*bp)[:0]
 			e.RetryAt = c.cycle + 2
 			c.stats.LoadReplays++
 			return false
@@ -926,8 +921,8 @@ func (c *Core) executeLoad(e *Entry) bool {
 		break
 	}
 
-	e.Node.BypassGuards = len(e.bypassed)
-	if len(e.bypassed) > 0 {
+	e.Node.BypassGuards = len(*bp)
+	if len(*bp) > 0 {
 		c.stats.BypassedLoads++
 	}
 

@@ -12,9 +12,9 @@ import (
 // the instruction becomes safe and its tag is broadcast. The checks run over
 // architecturally visible simulator state only — they recompute nothing from
 // the policy's internals beyond core.Policy.Unsafe — so a bug in either the
-// pipeline's broadcast plumbing or the policy bookkeeping trips them. Two
-// more checks hold the cycle loop's incremental bookkeeping to the full-ROB
-// scans it replaced.
+// pipeline's broadcast plumbing or the policy bookkeeping trips them. The
+// other checks hold the cycle loop's incremental bookkeeping to the
+// full-ROB scans it replaced.
 //
 // Enabled by Params.Sanitize; off by default because the checks cost a ROB
 // scan per cycle. cmd/ndalint's cross-validation tests and the workload
@@ -49,6 +49,13 @@ import (
 //  7. unexposed-safe-load: under InvisiSpec-Spectre no completed, unguarded
 //     invisible load is left unexposed at the end of a cycle; exposures
 //     happen in the cycle a load leaves the speculative shadow.
+//  8. ready-set: the wakeup scheduler matches a fresh scan of the issue
+//     queue. Each entry's waiting count equals its counted sources that
+//     have not broadcast, the ready set holds exactly the in-queue entries
+//     with none, and each register's waiter set holds exactly the
+//     in-queue entries counting it as unready.
+//  9. bcast-set: the pending-broadcast set equals the full-ROB scan for
+//     completed register writers that have not broadcast, in age order.
 
 // Violation is one sanitizer finding.
 type Violation struct {
@@ -92,7 +99,9 @@ func (c *Core) checkInvariants() {
 		return
 	}
 	c.sanCheckGuards()
-	c.sanCheckExec()
+	c.sanCheckList("exec-set", c.exec)
+	c.sanCheckList("bcast-set", c.bcast)
+	c.sanCheckReady()
 
 	// Pass 1: per-producer checks, and index the in-flight writer of every
 	// destination physical register (unique: the free list hands each preg
@@ -159,24 +168,75 @@ func (c *Core) sanCheckGuards() {
 	}
 }
 
-// sanCheckExec applies check 6.
-func (c *Core) sanCheckExec() {
+// sanCheckList applies check 6 (exec-set: issued, not completed) or 9
+// (bcast-set: a completed register writer, not broadcast): q must list
+// exactly the in-flight entries the check names, in age order.
+func (c *Core) sanCheckList(check string, q []int32) {
 	k := 0
 	for i := 0; i < c.robLen; i++ {
 		e := c.robAt(i)
-		if !e.Issued || e.Node.Completed {
+		in := e.Issued && !e.Node.Completed
+		if check == "bcast-set" {
+			in = e.DestP != noPReg && e.Node.Completed && !e.Node.Broadcast
+		}
+		if !in {
 			continue
 		}
-		if k >= len(c.exec) || c.exec[k] != e.Slot {
-			c.sanViolate("exec-set", e.PC, e.Seq,
-				"%v is executing but is not entry %d of the executing set %v", e.Inst, k, c.exec)
+		if k >= len(q) || q[k] != e.Slot {
+			c.sanViolate(check, e.PC, e.Seq, "%v belongs in the set but is not its entry %d: %v", e.Inst, k, q)
 			return
 		}
 		k++
 	}
-	if k != len(c.exec) {
-		c.sanViolate("exec-set", 0, 0, "executing set %v holds %d entries the ROB does not", c.exec, len(c.exec)-k)
+	if k != len(q) {
+		c.sanViolate(check, 0, 0, "set %v holds %d entries the ROB does not", q, len(q)-k)
 	}
+}
+
+// sanCheckReady applies check 8: it rebuilds the ready set and the waiter
+// sets from the in-queue entries' sources and compares them, and every
+// waiting count, with the scheduler's.
+func (c *Core) sanCheckReady() {
+	clear(c.sanReady)
+	clear(c.sanWaiters)
+	w := len(c.ready)
+	for i := 0; i < c.robLen; i++ {
+		e := c.robAt(i)
+		unready := 0
+		if e.InIQ {
+			unready = c.sanWaitOn(e, e.Src1P)
+			if !e.Inst.IsStore() && e.Src2P != e.Src1P {
+				unready += c.sanWaitOn(e, e.Src2P)
+			}
+			if unready == 0 {
+				c.sanReady.add(e.Slot)
+			}
+		}
+		if int(e.waiting) != unready {
+			c.sanViolate("ready-set", e.PC, e.Seq, "%v waits on %d sources, %d have not broadcast", e.Inst, e.waiting, unready)
+		}
+	}
+	for i, got := range c.ready {
+		if want := c.sanReady[i]; got != want {
+			c.sanViolate("ready-set", 0, 0, "ready set word %d is %#x, the issue queue gives %#x", i, got, want)
+		}
+	}
+	for i, got := range c.waiters {
+		if want := c.sanWaiters[i]; got != want {
+			c.sanViolate("ready-set", 0, 0, "p%d waiter word %d is %#x, the issue queue gives %#x", i/w, i%w, got, want)
+		}
+	}
+}
+
+// sanWaitOn records e as a waiter on p in the rebuilt waiter sets if p is
+// unready, and returns 1 if it is.
+func (c *Core) sanWaitOn(e *Entry, p int) int {
+	if p == noPReg || c.regReady[p] {
+		return 0
+	}
+	w := len(c.ready)
+	c.sanWaiters[p*w : (p+1)*w].add(e.Slot)
+	return 1
 }
 
 // sanCheckForward applies check 4: the load e took its value from the store

@@ -13,7 +13,8 @@ import (
 // propagation invariant ("no consumer issues on a value whose producer was
 // unsafe at broadcast-defer time"), whatever the kernel's mix of
 // load-dependent loads, branches, and calls, and the incremental guard
-// frontier and executing set must match their full-ROB oracles every cycle.
+// frontier, executing set, wakeup scheduler and pending-broadcast set must
+// match their full-ROB oracles every cycle.
 func TestSanitizerCleanOnWorkloads(t *testing.T) {
 	params := DefaultParams()
 	params.Sanitize = true
@@ -38,15 +39,19 @@ func TestSanitizerCleanOnWorkloads(t *testing.T) {
 	}
 }
 
-// TestSanitizerCatchesStaleBookkeeping is the negative oracle for checks 5
-// and 6: a guard bit left set after its guard resolved, and an executing
-// entry missing from the executing set, must both be flagged.
+// TestSanitizerCatchesStaleBookkeeping is the negative oracle for checks 5,
+// 6, 8 and 9: a guard bit left set after its guard resolved, an executing
+// entry missing from the executing set, a ready bit on an entry still
+// waiting for an operand, a waiter missing from its register's waiter set,
+// and a pending broadcast missing from the pending-broadcast set must all
+// be flagged.
 func TestSanitizerCatchesStaleBookkeeping(t *testing.T) {
 	prog, err := asm.Assemble(`
 main:   li   t0, 64
 loop:   addi t0, t0, -1
         ld   t1, 0(t0)
-        add  t2, t2, t1
+        bne  t1, t1, loop
+        add  t2, t2, t0
         bne  t0, zero, loop
         halt
 `)
@@ -55,9 +60,12 @@ loop:   addi t0, t0, -1
 	}
 	params := DefaultParams()
 	params.Sanitize = true
-	c := NewFromProgram(prog, core.Permissive(), params)
-	var sawGuard, sawExec bool
-	for cycles := 0; cycles < 10000 && !c.halted && !(sawGuard && sawExec); cycles++ {
+	// The add completes while the never-taken branch above it waits for
+	// the load, and Strict defers its broadcast until that branch resolves.
+	c := NewFromProgram(prog, core.Strict(), params)
+	var sawGuard, sawExec, sawReady, sawWaiter, sawBcast bool
+	done := func() bool { return sawGuard && sawExec && sawReady && sawWaiter && sawBcast }
+	for cycles := 0; cycles < 10000 && !c.halted && !done(); cycles++ {
 		if err := c.Step(); err != nil {
 			t.Fatal(err)
 		}
@@ -84,11 +92,45 @@ loop:   addi t0, t0, -1
 			c.exec = saved
 			sawExec = true
 		}
+		if e := waitingEntry(c); e != nil && !(sawReady && sawWaiter) {
+			c.ready.add(e.Slot) // the injected bookkeeping bug: a stale ready bit
+			wantFlag(t, c, "ready-set")
+			c.ready.remove(e.Slot)
+			sawReady = true
+
+			p := e.Src1P
+			if p == noPReg || c.regReady[p] {
+				p = e.Src2P
+			}
+			c.waitersOf(p).remove(e.Slot) // the injected bookkeeping bug: a missing waiter
+			wantFlag(t, c, "ready-set")
+			c.waitersOf(p).add(e.Slot)
+			sawWaiter = true
+		}
+		if !sawBcast && len(c.bcast) > 0 {
+			saved := c.bcast
+			c.bcast = c.bcast[1:] // the injected bookkeeping bug
+			wantFlag(t, c, "bcast-set")
+			c.bcast = saved
+			sawBcast = true
+		}
 		c.sanCount, c.sanLog = 0, nil
 	}
-	if !sawGuard || !sawExec {
-		t.Fatalf("never observed an unguarded entry (%v) or an executing one (%v)", sawGuard, sawExec)
+	if !done() {
+		t.Fatalf("never observed an unguarded entry (%v), an executing one (%v), one waiting for an operand (%v), or a pending broadcast (%v)",
+			sawGuard, sawExec, sawReady, sawBcast)
 	}
+}
+
+// waitingEntry returns an issue-queue entry waiting for an operand's
+// broadcast, or nil.
+func waitingEntry(c *Core) *Entry {
+	for i := 0; i < c.robLen; i++ {
+		if e := c.robAt(i); e.InIQ && e.waiting > 0 {
+			return e
+		}
+	}
+	return nil
 }
 
 // wantFlag runs the end-of-cycle checks and requires a violation of check.
