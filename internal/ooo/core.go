@@ -136,8 +136,9 @@ type Core struct {
 	guardsClearedFrom int
 	// bcast is the pending-broadcast set: the ROB slots of completed
 	// register writers awaiting their tag broadcast, in age order
-	// (capacity ROBSize). broadcastStage's deferred arbitration and the
-	// broadcast-delay event walk it instead of the ROB.
+	// (capacity ROBSize). broadcastStage adds the writers it cannot
+	// broadcast in their completion cycle; its deferred arbitration and the
+	// broadcast-delay event walk the set instead of the ROB.
 	bcast []int32
 	// fencesInFlight counts un-completed FENCEs in the ROB, the early-out
 	// for olderFencePending's per-issue-candidate scan.

@@ -97,7 +97,6 @@ func (c *Core) completeExecution() []*Entry {
 		e.Node.Completed = true
 		if e.DestP != noPReg {
 			c.regVal[e.DestP] = e.Result
-			c.bcast = c.insertByAge(c.bcast, e)
 		} else {
 			// Nothing to propagate: destination-less micro-ops are
 			// trivially "broadcast".
@@ -316,34 +315,30 @@ func (c *Core) exposeLoad(e *Entry) {
 
 // broadcastStage arbitrates the tag broadcast ports: instructions completing
 // this cycle have priority; deferred (completed earlier, newly safe)
-// instructions compete for the remaining ports in age order (§5.1). The
-// deferred candidates are the pending-broadcast set.
+// instructions compete for the remaining ports in age order (§5.1). A
+// completing instruction that gets no broadcast joins the pending-broadcast
+// set, the deferred candidates.
 func (c *Core) broadcastStage(completedNow []*Entry) {
-	if len(c.bcast) == 0 {
-		return
-	}
 	ports := c.p.BroadcastPorts
-
 	for _, e := range completedNow {
-		if ports == 0 {
-			break
+		if e.DestP == noPReg {
+			continue // completion marked it broadcast: nothing to propagate
 		}
-		if e.DestP == noPReg || e.Node.Broadcast {
-			continue
-		}
-		if c.policy.MayBroadcast(&e.Node, c.atHead(e)) {
+		if ports > 0 && c.policy.MayBroadcast(&e.Node, c.atHead(e)) {
 			c.doBroadcast(e)
 			ports--
+		} else {
+			c.bcast = c.insertByAge(c.bcast, e)
 		}
 	}
+	// An entry refused above would be refused again, so only entries that
+	// completed in earlier cycles can broadcast here.
+	deferred := 0
 	for _, si := range c.bcast {
 		if ports == 0 {
 			break
 		}
 		e := c.entryAt(si)
-		if e.Node.Broadcast {
-			continue
-		}
 		if !c.policy.MayBroadcast(&e.Node, c.atHead(e)) {
 			continue
 		}
@@ -357,8 +352,9 @@ func (c *Core) broadcastStage(completedNow []*Entry) {
 		}
 		c.doBroadcast(e)
 		ports--
+		deferred++
 	}
-	if ports < c.p.BroadcastPorts {
+	if deferred > 0 {
 		w := 0
 		for _, si := range c.bcast {
 			if !c.rob[si].Node.Broadcast {

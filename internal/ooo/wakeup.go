@@ -94,18 +94,21 @@ func (c *Core) iqRemove(e *Entry) {
 
 // nextReady returns the ROB index (0 = head) of the oldest ready entry at
 // or after ROB index i, or -1. Ring order from robHead is age order, so the
-// walk is the ready set's slots from robHead up, then from 0 below robHead.
+// walk is the ready set's slots from robHead up, then from 0 up to the
+// youngest entry if the ROB wraps.
 func (c *Core) nextReady(i int) int {
-	n := len(c.rob)
+	n, end := len(c.rob), c.robHead+c.robLen
 	s := c.robHead + i
 	if s < n {
-		if j := c.ready.next(s, n); j >= 0 {
+		if j := c.ready.next(s, min(end, n)); j >= 0 {
 			return j - c.robHead
 		}
 		s = n
 	}
-	if j := c.ready.next(s-n, c.robHead); j >= 0 {
-		return j + n - c.robHead
+	if end > n {
+		if j := c.ready.next(s-n, end-n); j >= 0 {
+			return j + n - c.robHead
+		}
 	}
 	return -1
 }
