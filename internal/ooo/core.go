@@ -140,9 +140,15 @@ type Core struct {
 	// broadcast in their completion cycle; its deferred arbitration and the
 	// broadcast-delay event walk the set instead of the ROB.
 	bcast []int32
-	// fencesInFlight counts un-completed FENCEs in the ROB, the early-out
-	// for olderFencePending's per-issue-candidate scan.
+	// fencesInFlight counts un-completed FENCEs in the ROB, and fenceSeq
+	// is the oldest one's Seq (valid while the count is nonzero), so
+	// olderFencePending is a comparison, not a scan per issue candidate.
+	// A FENCE issues only once every older instruction has completed, so
+	// FENCEs complete in program order: fenceSeq moves only when the
+	// oldest completes, and a squash that removes it removes every
+	// younger FENCE too.
 	fencesInFlight int
+	fenceSeq       uint64
 	// lastCancelPoll is the cycle of the most recent Cancel-channel poll;
 	// polls trigger on elapsed distance so event jumps cannot starve them.
 	lastCancelPoll uint64

@@ -81,6 +81,9 @@ func (c *Core) dispatchStage() {
 			c.sq = append(c.sq, e.Slot)
 		}
 		if inst.Op == isa.OpFence {
+			if c.fencesInFlight == 0 {
+				c.fenceSeq = e.Seq
+			}
 			c.fencesInFlight++
 		}
 		c.fqPop()

@@ -103,7 +103,7 @@ func (c *Core) completeExecution() []*Entry {
 			e.Node.Broadcast = true
 		}
 		if e.Inst.Op == isa.OpFence {
-			c.fencesInFlight--
+			c.fenceCompleted(e)
 		}
 		if e.Inflight {
 			e.Inflight = false
@@ -779,22 +779,22 @@ func (c *Core) oldersCompleted(e *Entry) bool {
 }
 
 func (c *Core) olderFencePending(e *Entry) bool {
+	return c.fencesInFlight > 0 && c.fenceSeq < e.Seq
+}
+
+// fenceCompleted retires the oldest un-completed FENCE, f, from the fence
+// frontier: fenceSeq moves to the next younger un-completed FENCE.
+func (c *Core) fenceCompleted(f *Entry) {
+	c.fencesInFlight--
 	if c.fencesInFlight == 0 {
-		// No un-completed FENCE anywhere in the ROB — the common case, and
-		// the reason this check is a counter test instead of a scan per
-		// issue candidate per cycle.
-		return false
+		return
 	}
-	for i := 0; i < c.robLen; i++ {
-		o := c.robAt(i)
-		if o.Seq >= e.Seq {
-			return false
-		}
-		if o.Inst.Op == isa.OpFence && !o.Node.Completed {
-			return true
+	for i := c.robIndex(f) + 1; i < c.robLen; i++ {
+		if o := c.robAt(i); o.Inst.Op == isa.OpFence && !o.Node.Completed {
+			c.fenceSeq = o.Seq
+			return
 		}
 	}
-	return false
 }
 
 // execute begins execution of e this cycle: operands are read, the result

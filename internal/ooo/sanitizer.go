@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"nda/internal/core"
+	"nda/internal/isa"
 )
 
 // The propagation sanitizer is a per-cycle oracle for the NDA invariant the
@@ -56,6 +57,8 @@ import (
 //     in-queue entries counting it as unready.
 //  9. bcast-set: the pending-broadcast set equals the full-ROB scan for
 //     completed register writers that have not broadcast, in age order.
+// 10. fence-frontier: fencesInFlight and fenceSeq equal the full-ROB scan's
+//     count and oldest Seq of un-completed FENCEs.
 
 // Violation is one sanitizer finding.
 type Violation struct {
@@ -102,6 +105,7 @@ func (c *Core) checkInvariants() {
 	c.sanCheckList("exec-set", c.exec)
 	c.sanCheckList("bcast-set", c.bcast)
 	c.sanCheckReady()
+	c.sanCheckFences()
 
 	// Pass 1: per-producer checks, and index the in-flight writer of every
 	// destination physical register (unique: the free list hands each preg
@@ -190,6 +194,23 @@ func (c *Core) sanCheckList(check string, q []int32) {
 	}
 	if k != len(q) {
 		c.sanViolate(check, 0, 0, "set %v holds %d entries the ROB does not", q, len(q)-k)
+	}
+}
+
+// sanCheckFences applies check 10.
+func (c *Core) sanCheckFences() {
+	n, oldest := 0, uint64(0)
+	for i := 0; i < c.robLen; i++ {
+		if e := c.robAt(i); e.Inst.Op == isa.OpFence && !e.Node.Completed {
+			if n == 0 {
+				oldest = e.Seq
+			}
+			n++
+		}
+	}
+	if n != c.fencesInFlight || (n > 0 && oldest != c.fenceSeq) {
+		c.sanViolate("fence-frontier", 0, oldest, "%d un-completed FENCEs, oldest seq %d; the frontier says %d, oldest seq %d",
+			n, oldest, c.fencesInFlight, c.fenceSeq)
 	}
 }
 
