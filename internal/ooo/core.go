@@ -170,8 +170,6 @@ type Core struct {
 	sanWriterBcast []bool
 	sanNodes       []core.Node
 	sanNodePtrs    []*core.Node
-	sanReady       slotSet
-	sanWaiters     slotSet
 
 	stats Stats
 }
@@ -225,8 +223,6 @@ func New(prog *isa.Program, m *mem.Memory, pol core.Policy, p Params) *Core {
 		c.sanWriterBcast = make([]bool, p.PhysRegs)
 		c.sanNodes = make([]core.Node, p.ROBSize)
 		c.sanNodePtrs = make([]*core.Node, p.ROBSize)
-		c.sanReady = newSlotSet(p.ROBSize)
-		c.sanWaiters = make(slotSet, len(c.waiters))
 	}
 	// Map arch registers to the first NumGPR physical registers; the rest
 	// form the free list.

@@ -214,49 +214,55 @@ func (c *Core) sanCheckFences() {
 	}
 }
 
-// sanCheckReady applies check 8: it rebuilds the ready set and the waiter
-// sets from the in-queue entries' sources and compares them, and every
-// waiting count, with the scheduler's.
+// sanCheckReady applies check 8 entry by entry, then counts: with every
+// expected ready and waiter bit present, equal totals mean no stray ones.
+// An unready source register is always the destination of an in-flight
+// producer (the consumer is younger, so it cannot outlive a squashed one),
+// so only those registers' waiter sets are counted. A stray bit on a free
+// register is counted once the register is renamed again.
 func (c *Core) sanCheckReady() {
-	clear(c.sanReady)
-	clear(c.sanWaiters)
-	w := len(c.ready)
+	ready, waits, held := 0, 0, 0
 	for i := 0; i < c.robLen; i++ {
 		e := c.robAt(i)
 		unready := 0
 		if e.InIQ {
-			unready = c.sanWaitOn(e, e.Src1P)
+			unready = c.sanWaitsOn(e, e.Src1P)
 			if !e.Inst.IsStore() && e.Src2P != e.Src1P {
-				unready += c.sanWaitOn(e, e.Src2P)
-			}
-			if unready == 0 {
-				c.sanReady.add(e.Slot)
+				unready += c.sanWaitsOn(e, e.Src2P)
 			}
 		}
 		if int(e.waiting) != unready {
 			c.sanViolate("ready-set", e.PC, e.Seq, "%v waits on %d sources, %d have not broadcast", e.Inst, e.waiting, unready)
 		}
-	}
-	for i, got := range c.ready {
-		if want := c.sanReady[i]; got != want {
-			c.sanViolate("ready-set", 0, 0, "ready set word %d is %#x, the issue queue gives %#x", i, got, want)
+		want := e.InIQ && unready == 0
+		if c.ready.has(e.Slot) != want {
+			c.sanViolate("ready-set", e.PC, e.Seq, "%v has ready bit %v, want %v", e.Inst, !want, want)
+		}
+		if want {
+			ready++
+		}
+		waits += unready
+		if e.DestP != noPReg {
+			held += c.waitersOf(e.DestP).count()
 		}
 	}
-	for i, got := range c.waiters {
-		if want := c.sanWaiters[i]; got != want {
-			c.sanViolate("ready-set", 0, 0, "p%d waiter word %d is %#x, the issue queue gives %#x", i/w, i%w, got, want)
-		}
+	if n := c.ready.count(); n != ready {
+		c.sanViolate("ready-set", 0, 0, "ready set holds %d slots, the issue queue has %d ready entries", n, ready)
+	}
+	if held != waits {
+		c.sanViolate("ready-set", 0, 0, "in-flight registers' waiter sets hold %d bits, the issue queue waits on %d sources", held, waits)
 	}
 }
 
-// sanWaitOn records e as a waiter on p in the rebuilt waiter sets if p is
-// unready, and returns 1 if it is.
-func (c *Core) sanWaitOn(e *Entry, p int) int {
+// sanWaitsOn returns 1 if p is an unready source of e, and checks that e is
+// in p's waiter set.
+func (c *Core) sanWaitsOn(e *Entry, p int) int {
 	if p == noPReg || c.regReady[p] {
 		return 0
 	}
-	w := len(c.ready)
-	c.sanWaiters[p*w : (p+1)*w].add(e.Slot)
+	if !c.waitersOf(p).has(e.Slot) {
+		c.sanViolate("ready-set", e.PC, e.Seq, "%v waits on p%d but is not in its waiter set", e.Inst, p)
+	}
 	return 1
 }
 

@@ -17,6 +17,15 @@ func (s slotSet) add(slot int32)      { s[slot>>6] |= 1 << (slot & 63) }
 func (s slotSet) remove(slot int32)   { s[slot>>6] &^= 1 << (slot & 63) }
 func (s slotSet) has(slot int32) bool { return s[slot>>6]&(1<<(slot&63)) != 0 }
 
+// count returns the number of slots in s.
+func (s slotSet) count() int {
+	n := 0
+	for _, w := range s {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
 // next returns the lowest slot in s within [from, to), or -1.
 func (s slotSet) next(from, to int) int {
 	for from < to {
