@@ -102,8 +102,8 @@ func (c *Core) checkInvariants() {
 		return
 	}
 	c.sanCheckGuards()
-	c.sanCheckList("exec-set", c.exec)
-	c.sanCheckList("bcast-set", c.bcast)
+	c.sanCheckExec()
+	c.sanCheckBcast()
 	c.sanCheckReady()
 	c.sanCheckFences()
 
@@ -172,28 +172,43 @@ func (c *Core) sanCheckGuards() {
 	}
 }
 
-// sanCheckList applies check 6 (exec-set: issued, not completed) or 9
-// (bcast-set: a completed register writer, not broadcast): q must list
-// exactly the in-flight entries the check names, in age order.
-func (c *Core) sanCheckList(check string, q []int32) {
+// sanCheckExec applies check 6.
+func (c *Core) sanCheckExec() {
 	k := 0
 	for i := 0; i < c.robLen; i++ {
 		e := c.robAt(i)
-		in := e.Issued && !e.Node.Completed
-		if check == "bcast-set" {
-			in = e.DestP != noPReg && e.Node.Completed && !e.Node.Broadcast
-		}
-		if !in {
+		if !e.Issued || e.Node.Completed {
 			continue
 		}
-		if k >= len(q) || q[k] != e.Slot {
-			c.sanViolate(check, e.PC, e.Seq, "%v belongs in the set but is not its entry %d: %v", e.Inst, k, q)
+		if k >= len(c.exec) || c.exec[k] != e.Slot {
+			c.sanViolate("exec-set", e.PC, e.Seq,
+				"%v is executing but is not entry %d of the executing set %v", e.Inst, k, c.exec)
 			return
 		}
 		k++
 	}
-	if k != len(q) {
-		c.sanViolate(check, 0, 0, "set %v holds %d entries the ROB does not", q, len(q)-k)
+	if k != len(c.exec) {
+		c.sanViolate("exec-set", 0, 0, "executing set %v holds %d entries the ROB does not", c.exec, len(c.exec)-k)
+	}
+}
+
+// sanCheckBcast applies check 9.
+func (c *Core) sanCheckBcast() {
+	k := 0
+	for i := 0; i < c.robLen; i++ {
+		e := c.robAt(i)
+		if e.DestP == noPReg || !e.Node.Completed || e.Node.Broadcast {
+			continue
+		}
+		if k >= len(c.bcast) || c.bcast[k] != e.Slot {
+			c.sanViolate("bcast-set", e.PC, e.Seq,
+				"%v awaits broadcast but is not entry %d of the pending-broadcast set %v", e.Inst, k, c.bcast)
+			return
+		}
+		k++
+	}
+	if k != len(c.bcast) {
+		c.sanViolate("bcast-set", 0, 0, "pending-broadcast set %v holds %d entries the ROB does not", c.bcast, len(c.bcast)-k)
 	}
 }
 

@@ -6,7 +6,6 @@
 #
 #   make perf-report
 #   sh scripts/perf_report.sh
-#   BENCHTIME=20x sh scripts/perf_report.sh   # more samples (default 5x)
 #
 # The profile and test binary go to a temporary directory that is removed
 # on exit. Shares move by a point or two between runs on a shared host.
@@ -17,7 +16,7 @@ cd "$(dirname "$0")/.."
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT INT TERM
 
-go test -run='^$' -bench='^BenchmarkQuickSweep92$' -benchtime="${BENCHTIME:-5x}" \
+go test -run='^$' -bench='^BenchmarkQuickSweep92$' -benchtime=20x \
     -cpuprofile "$TMP/cpu.out" -o "$TMP/nda.test" . >"$TMP/bench.txt"
 grep '^BenchmarkQuickSweep92' "$TMP/bench.txt" >&2 || true
 go tool pprof -top -cum "$TMP/nda.test" "$TMP/cpu.out" >"$TMP/top.txt" 2>/dev/null
