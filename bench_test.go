@@ -440,7 +440,7 @@ func BenchmarkCheckpointedMeasurement(b *testing.B) {
 	cfg := benchConfig()
 	cfg.UseCheckpoints = true
 	for i := 0; i < b.N; i++ {
-		if _, err := harness.MeasureOoOCheckpointed(spec, core.Baseline(), cfg); err != nil {
+		if _, err := harness.MeasureCell(context.Background(), spec, core.Baseline(), false, cfg, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -12,8 +12,10 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"nda/internal/checkpoint"
 	"nda/internal/core"
 	"nda/internal/inorder"
+	"nda/internal/isa"
 	"nda/internal/ooo"
 	"nda/internal/par"
 	"nda/internal/stats"
@@ -34,9 +36,10 @@ type Config struct {
 	Intervals    int
 	MaxCycles    uint64 // per full benchmark run; guards runaway configs
 
-	// UseCheckpoints switches RunSweepCtx to checkpoint-based sampling (see
-	// MeasureOoOCheckpointed): the emulator fast-forwards between sampling
-	// points instead of the timing core simulating the gaps.
+	// UseCheckpoints switches every measurement (MeasureCell, and through
+	// it RunSweepCtx and RunFig9eCtx) to checkpoint-based sampling: the
+	// emulator fast-forwards between sampling points instead of the timing
+	// core simulating the gaps.
 	UseCheckpoints bool
 	// CheckpointStride is the functional distance between sampling points;
 	// 0 means 10x the warm+measure window.
@@ -104,96 +107,6 @@ type Measurement struct {
 // hugeIters makes benchmark loops effectively unbounded; the harness stops
 // by instruction budget.
 const hugeIters = 1 << 40
-
-// ctxErr prefers the context's error once the context is done: the cores
-// surface cancellation as ooo.ErrCancelled, but callers want the standard
-// context.Canceled / context.DeadlineExceeded identity back.
-func ctxErr(ctx context.Context, err error) error {
-	if cerr := ctx.Err(); cerr != nil {
-		return cerr
-	}
-	return err
-}
-
-// MeasureOoOCtx runs one benchmark under one policy. The core polls
-// ctx.Done() while it runs, so a timeout or job cancellation stops the
-// simulation mid-interval rather than after the cell completes.
-func MeasureOoOCtx(ctx context.Context, spec workload.Spec, pol core.Policy, cfg Config) (*Measurement, error) {
-	prog := spec.Build(hugeIters)
-	c := ooo.NewFromProgram(prog, pol, cfg.Params)
-	c.Cancel = ctx.Done()
-	if err := c.RunInsts(cfg.WarmInsts, cfg.MaxCycles); err != nil {
-		return nil, ctxErr(ctx, fmt.Errorf("harness: %s/%s warm-up: %w", spec.Name, pol.Name, err))
-	}
-
-	m := &Measurement{Workload: spec.Name, Config: pol.Name}
-	var cpis []float64
-	var agg ooo.Stats
-	for i := 0; i < cfg.Intervals; i++ {
-		c.ResetStats()
-		if err := c.RunInsts(cfg.MeasureInsts, cfg.MaxCycles); err != nil {
-			return nil, ctxErr(ctx, fmt.Errorf("harness: %s/%s interval %d: %w", spec.Name, pol.Name, i, err))
-		}
-		s := *c.Stats()
-		cpis = append(cpis, s.CPI())
-		addStats(&agg, s)
-		if i < cfg.Intervals-1 && cfg.SkipInsts > 0 {
-			c.ResetStats()
-			if err := c.RunInsts(cfg.SkipInsts, cfg.MaxCycles); err != nil {
-				return nil, ctxErr(ctx, fmt.Errorf("harness: %s/%s skip %d: %w", spec.Name, pol.Name, i, err))
-			}
-		}
-	}
-	m.CPI = stats.Summarize(cpis)
-	fillFromStats(m, &agg)
-	return m, nil
-}
-
-// MeasureInOrderCtx runs one benchmark on the in-order core, with
-// cancellation as in MeasureOoOCtx.
-func MeasureInOrderCtx(ctx context.Context, spec workload.Spec, cfg Config) (*Measurement, error) {
-	prog := spec.Build(hugeIters)
-	c := inorder.NewFromProgram(prog, cfg.IOParams)
-	c.Cancel = ctx.Done()
-	if err := c.RunInsts(cfg.WarmInsts); err != nil {
-		return nil, ctxErr(ctx, fmt.Errorf("harness: %s/in-order warm-up: %w", spec.Name, err))
-	}
-	m := &Measurement{Workload: spec.Name, Config: InOrderName}
-	var cpis []float64
-	var cycles, committed uint64
-	var mlpSum, mlpCyc, ilpSum, ilpCyc uint64
-	for i := 0; i < cfg.Intervals; i++ {
-		c.ResetStats()
-		if err := c.RunInsts(cfg.MeasureInsts); err != nil {
-			return nil, ctxErr(ctx, err)
-		}
-		s := c.Stats()
-		cpis = append(cpis, s.CPI())
-		cycles += s.Cycles
-		committed += s.Committed
-		mlpSum += s.MLPSum
-		mlpCyc += s.MLPCycles
-		ilpSum += s.ILPSum
-		ilpCyc += s.ILPCycles
-		if i < cfg.Intervals-1 && cfg.SkipInsts > 0 {
-			c.ResetStats()
-			if err := c.RunInsts(cfg.SkipInsts); err != nil {
-				return nil, ctxErr(ctx, err)
-			}
-		}
-	}
-	m.CPI = stats.Summarize(cpis)
-	m.Cycles, m.Committed = cycles, committed
-	if mlpCyc > 0 {
-		m.MLP = float64(mlpSum) / float64(mlpCyc)
-	}
-	if ilpCyc > 0 {
-		m.ILP = float64(ilpSum) / float64(ilpCyc)
-	}
-	// The whole cycle is "commit" from the blocking core's perspective.
-	m.CommitFrac = 1
-	return m, nil
-}
 
 // addStats folds one measurement interval into an aggregate. src is a value
 // snapshot, never a pointer into a live core: Core.Stats returns the core's
@@ -308,7 +221,6 @@ func (s *Sweep) Overhead(config string) float64 {
 
 // cellJob is one (configuration, workload) cell of the sweep matrix.
 type cellJob struct {
-	config  string
 	pol     core.Policy // unused when inOrder is set
 	inOrder bool
 	spec    workload.Spec
@@ -316,21 +228,141 @@ type cellJob struct {
 }
 
 // MeasureCell measures one (workload, configuration) cell: the in-order
-// core when inOrder is set, otherwise pol on the OoO core — from ss's
-// checkpoints when cfg.UseCheckpoints is set (ss must then be the
-// workload's series), by continuous sampling otherwise (ss is ignored).
-// The sweep engine and the serving layer both measure cells through here.
+// core when inOrder is set, otherwise pol on the OoO core. It is the
+// harness's only measurement entry; the sweep engine, Fig. 9e and the
+// serving layer all measure through it.
+//
+// With cfg.UseCheckpoints set, every sample runs on its own core restored
+// from one of ss's checkpoints (ss must be the workload's series; nil
+// means take it here). Otherwise one core samples continuously and ss is
+// ignored. Both schedules feed the same fold. The cores poll ctx.Done()
+// while they run, so cancellation stops the simulation mid-window and
+// returns the context's error.
 func MeasureCell(ctx context.Context, spec workload.Spec, pol core.Policy, inOrder bool, cfg Config, ss *SampleSeries) (*Measurement, error) {
-	switch {
-	case cfg.UseCheckpoints && inOrder:
-		return MeasureInOrderSamples(ctx, spec, cfg, ss)
-	case cfg.UseCheckpoints:
-		return MeasureOoOSamples(ctx, spec, pol, cfg, ss)
-	case inOrder:
-		return MeasureInOrderCtx(ctx, spec, cfg)
-	default:
-		return MeasureOoOCtx(ctx, spec, pol, cfg)
+	m := &Measurement{Workload: spec.Name, Config: pol.Name}
+	if inOrder {
+		m.Config = InOrderName
 	}
+	var samples []ooo.Stats
+	var err error
+	if cfg.UseCheckpoints {
+		if ss == nil {
+			if ss, err = TakeSamples(spec, cfg); err != nil {
+				return nil, err
+			}
+		}
+		samples, err = measureCheckpoints(ctx, ss, pol, inOrder, cfg)
+	} else {
+		samples = make([]ooo.Stats, cfg.Intervals)
+		c := newCellCore(ctx, spec.Build(hugeIters), nil, pol, inOrder, &cfg)
+		err = c.sample(&cfg, samples)
+	}
+	if err != nil {
+		// The cores surface cancellation as ErrCancelled; callers want the
+		// context.Canceled / DeadlineExceeded identity back.
+		if cerr := ctx.Err(); cerr != nil {
+			return nil, cerr
+		}
+		return nil, fmt.Errorf("harness: %s/%s %w", spec.Name, m.Config, err)
+	}
+	cpis := make([]float64, len(samples))
+	var agg ooo.Stats
+	for i := range samples {
+		cpis[i] = samples[i].CPI()
+		addStats(&agg, samples[i])
+	}
+	m.CPI = stats.Summarize(cpis)
+	fillFromStats(m, &agg)
+	return m, nil
+}
+
+// cellCore is the timing core one sample runs on: the in-order baseline
+// when io is set, otherwise the OoO core.
+type cellCore struct {
+	o  *ooo.Core
+	io *inorder.Machine
+}
+
+// newCellCore builds the cell's core over prog, resuming from cp (nil: a
+// fresh memory image at the program's entry), polling ctx for cancellation.
+func newCellCore(ctx context.Context, prog *isa.Program, cp *checkpoint.Checkpoint, pol core.Policy, inOrder bool, cfg *Config) cellCore {
+	var c cellCore
+	switch {
+	case inOrder && cp != nil:
+		c.io = cp.InOrder(prog, cfg.IOParams)
+	case inOrder:
+		c.io = inorder.NewFromProgram(prog, cfg.IOParams)
+	case cp != nil:
+		c.o = cp.OoO(prog, pol, cfg.Params)
+	default:
+		c.o = ooo.NewFromProgram(prog, pol, cfg.Params)
+	}
+	if c.io != nil {
+		c.io.Cancel = ctx.Done()
+	} else {
+		c.o.Cancel = ctx.Done()
+	}
+	return c
+}
+
+// run simulates n more instructions (the in-order core has no cycle cap).
+func (c cellCore) run(n, maxCycles uint64) error {
+	if c.io != nil {
+		return c.io.RunInsts(n)
+	}
+	return c.o.RunInsts(n, maxCycles)
+}
+
+func (c cellCore) resetStats() {
+	if c.io != nil {
+		c.io.ResetStats()
+		return
+	}
+	c.o.ResetStats()
+}
+
+// stats snapshots the counters by value, so the fold never aliases a live
+// core. The in-order counters are a subset of ooo.Stats and widen here:
+// the blocking core counts every cycle as a commit cycle and has no
+// stall buckets, broadcasts or branch prediction, so the fold gives it
+// CommitFrac = 1 and zero NDA columns.
+func (c cellCore) stats() ooo.Stats {
+	if c.io == nil {
+		return *c.o.Stats()
+	}
+	s := c.io.Stats()
+	return ooo.Stats{
+		Cycles:       s.Cycles,
+		Committed:    s.Committed,
+		CommitCycles: s.Cycles,
+		MLPSum:       s.MLPSum,
+		MLPCycles:    s.MLPCycles,
+		ILPSum:       s.ILPSum,
+		ILPCycles:    s.ILPCycles,
+	}
+}
+
+// sample is the SMARTS window schedule on one core: cfg.WarmInsts of
+// warm-up, then one cfg.MeasureInsts window per slot of out, the windows
+// separated by cfg.SkipInsts unmeasured instructions. The error names the
+// window that failed.
+func (c cellCore) sample(cfg *Config, out []ooo.Stats) error {
+	if err := c.run(cfg.WarmInsts, cfg.MaxCycles); err != nil {
+		return fmt.Errorf("warm-up: %w", err)
+	}
+	for i := range out {
+		c.resetStats()
+		if err := c.run(cfg.MeasureInsts, cfg.MaxCycles); err != nil {
+			return fmt.Errorf("interval %d: %w", i, err)
+		}
+		out[i] = c.stats()
+		if i < len(out)-1 {
+			if err := c.run(cfg.SkipInsts, cfg.MaxCycles); err != nil {
+				return fmt.Errorf("skip %d: %w", i, err)
+			}
+		}
+	}
+	return nil
 }
 
 // RunSweepCtx measures every benchmark under every policy (and, when
@@ -370,20 +402,13 @@ func RunSweepCtx(ctx context.Context, specs []workload.Spec, policies []core.Pol
 	if cfg.UseCheckpoints {
 		series = make([]*SampleSeries, len(specs))
 		seriesLeft = make([]atomic.Int64, len(specs))
-		perWorkload := int64(len(policies))
-		if includeInOrder {
-			perWorkload++
-		}
 		for i := range seriesLeft {
-			seriesLeft[i].Store(perWorkload)
+			seriesLeft[i].Store(int64(len(configs)))
 		}
 		if err := par.RunCtx(ctx, len(specs), cfg.workerCount(), func(i int) error {
-			ss, err := TakeSamples(specs[i], cfg)
-			if err != nil {
-				return err
-			}
-			series[i] = ss
-			return nil
+			var err error
+			series[i], err = TakeSamples(specs[i], cfg)
+			return err
 		}); err != nil {
 			return nil, err
 		}
@@ -395,10 +420,10 @@ func RunSweepCtx(ctx context.Context, specs []workload.Spec, policies []core.Pol
 	var jobs []cellJob
 	for si, spec := range specs {
 		for _, pol := range policies {
-			jobs = append(jobs, cellJob{config: pol.Name, pol: pol, spec: spec, specIdx: si})
+			jobs = append(jobs, cellJob{pol: pol, spec: spec, specIdx: si})
 		}
 		if includeInOrder {
-			jobs = append(jobs, cellJob{config: InOrderName, inOrder: true, spec: spec, specIdx: si})
+			jobs = append(jobs, cellJob{inOrder: true, spec: spec, specIdx: si})
 		}
 	}
 
@@ -452,8 +477,8 @@ func RunSweepCtx(ctx context.Context, specs []workload.Spec, policies []core.Pol
 		return nil, err
 	}
 
-	for i, j := range jobs {
-		sw.Set(j.config, j.spec.Name, results[i])
+	for _, m := range results {
+		sw.Set(m.Config, m.Workload, m)
 	}
 	return sw, nil
 }

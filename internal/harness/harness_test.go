@@ -36,7 +36,7 @@ func tinySpecs(t *testing.T, names ...string) []workload.Spec {
 
 func TestMeasureOoO(t *testing.T) {
 	s, _ := workload.ByName("exchange2")
-	m, err := MeasureOoOCtx(context.Background(), s, core.Baseline(), tinyConfig())
+	m, err := MeasureCell(context.Background(), s, core.Baseline(), false, tinyConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestMeasureOoO(t *testing.T) {
 
 func TestMeasureInOrder(t *testing.T) {
 	s, _ := workload.ByName("exchange2")
-	m, err := MeasureInOrderCtx(context.Background(), s, tinyConfig())
+	m, err := MeasureCell(context.Background(), s, core.Policy{}, true, tinyConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,6 +152,30 @@ func TestFig9eSensitivity(t *testing.T) {
 	}
 	if !strings.Contains(RenderFig9e(rs), "delay") {
 		t.Error("fig9e render incomplete")
+	}
+}
+
+// TestFig9eHonoursCheckpoints: under UseCheckpoints, Fig. 9e's points are
+// checkpoint-sampled like every other cell, so a one-benchmark delay-0
+// point equals MeasureCell's checkpoint-mode CPI for the base policy.
+func TestFig9eHonoursCheckpoints(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.UseCheckpoints = true
+	rs, err := RunFig9eCtx(context.Background(), "Permissive", []int{0}, []string{"gcc"}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _ := workload.ByName("gcc")
+	ss, err := TakeSamples(s, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := MeasureCell(context.Background(), s, core.Permissive(), false, cfg, ss)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs[0].CPI != m.CPI.Mean {
+		t.Errorf("Fig. 9e delay-0 CPI %v, checkpoint-mode MeasureCell CPI %v", rs[0].CPI, m.CPI.Mean)
 	}
 }
 
@@ -272,14 +296,21 @@ func TestRunSweepCtxCancelMidway(t *testing.T) {
 	}
 }
 
-// TestMeasureOoOCtxCancelled: the per-measurement entry point honors a dead
-// context too (it is what the serve cache calls directly).
-func TestMeasureOoOCtxCancelled(t *testing.T) {
+// TestMeasureCellCancelled: the per-measurement entry point honors a dead
+// context too (it is what the serve cache calls directly), on both cores
+// under both sampling schedules.
+func TestMeasureCellCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	s, _ := workload.ByName("gcc")
-	if _, err := MeasureOoOCtx(ctx, s, core.Baseline(), tinyConfig()); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	for _, tc := range []struct {
+		inOrder, checkpoints bool
+	}{{false, false}, {false, true}, {true, false}, {true, true}} {
+		cfg := tinyConfig()
+		cfg.UseCheckpoints = tc.checkpoints
+		if _, err := MeasureCell(ctx, s, core.Baseline(), tc.inOrder, cfg, nil); !errors.Is(err, context.Canceled) {
+			t.Errorf("inOrder=%v checkpoints=%v: err = %v, want context.Canceled", tc.inOrder, tc.checkpoints, err)
+		}
 	}
 }
 
@@ -288,13 +319,13 @@ func TestCheckpointedSamplingAgrees(t *testing.T) {
 	// under the same policy; the CPIs must land in the same ballpark.
 	s, _ := workload.ByName("exchange2")
 	cfg := tinyConfig()
-	cont, err := MeasureOoOCtx(context.Background(), s, core.Baseline(), cfg)
+	cont, err := MeasureCell(context.Background(), s, core.Baseline(), false, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.UseCheckpoints = true
 	cfg.CheckpointStride = 20_000
-	ckpt, err := MeasureOoOCheckpointed(s, core.Baseline(), cfg)
+	ckpt, err := MeasureCell(context.Background(), s, core.Baseline(), false, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +333,7 @@ func TestCheckpointedSamplingAgrees(t *testing.T) {
 		t.Errorf("checkpointed CPI %.3f vs continuous %.3f: methodologies disagree",
 			ckpt.CPI.Mean, cont.CPI.Mean)
 	}
-	io, err := MeasureInOrderCheckpointed(s, cfg)
+	io, err := MeasureCell(context.Background(), s, core.Policy{}, true, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

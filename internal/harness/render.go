@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"nda/internal/cache"
+	"nda/internal/core"
 	"nda/internal/ooo"
 	"nda/internal/par"
 	"nda/internal/stats"
@@ -191,21 +192,25 @@ type Fig9eResult struct {
 func RunFig9eCtx(ctx context.Context, policyName string, delays []int, specNames []string, cfg Config) ([]Fig9eResult, error) {
 	specs := make([]workload.Spec, len(specNames))
 	for i, name := range specNames {
-		s, err := byName(name)
+		s, err := workload.ByName(name)
 		if err != nil {
 			return nil, err
 		}
 		specs[i] = s
 	}
-	basePol, err := policyByName(policyName)
+	basePol, err := core.ByName(policyName)
 	if err != nil {
 		return nil, err
 	}
+	// The points saturate the pool on their own; as in RunSweepCtx, each
+	// measures with one worker so checkpoint fan-outs do not nest pools.
+	pointCfg := cfg
+	pointCfg.Workers = 1
 	cpis := make([]float64, len(delays)*len(specs))
 	err = par.RunCtx(ctx, len(cpis), cfg.workerCount(), func(i int) error {
 		pol := basePol
 		pol.ExtraBroadcastDelay = delays[i/len(specs)]
-		m, err := MeasureOoOCtx(ctx, specs[i%len(specs)], pol, cfg)
+		m, err := MeasureCell(ctx, specs[i%len(specs)], pol, false, pointCfg, nil)
 		if err != nil {
 			return err
 		}

@@ -188,14 +188,16 @@ type Measurement = harness.Measurement
 // Sweep is the full evaluation grid.
 type Sweep = harness.Sweep
 
-// Measure runs one benchmark under one policy.
+// Measure runs one benchmark under one policy, by checkpoint sampling when
+// cfg.UseCheckpoints is set and by continuous sampling otherwise.
 func Measure(b Benchmark, pol Policy, cfg HarnessConfig) (*Measurement, error) {
-	return harness.MeasureOoOCtx(context.Background(), b, pol, cfg)
+	return harness.MeasureCell(context.Background(), b, pol, false, cfg, nil)
 }
 
-// MeasureInOrder runs one benchmark on the in-order core.
+// MeasureInOrder runs one benchmark on the in-order core, sampled as in
+// Measure.
 func MeasureInOrder(b Benchmark, cfg HarnessConfig) (*Measurement, error) {
-	return harness.MeasureInOrderCtx(context.Background(), b, cfg)
+	return harness.MeasureCell(context.Background(), b, Policy{}, true, cfg, nil)
 }
 
 // RunEvaluation measures every benchmark under every policy (and the
