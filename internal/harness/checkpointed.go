@@ -52,11 +52,13 @@ func TakeSamples(spec workload.Spec, cfg Config) (*SampleSeries, error) {
 	return &SampleSeries{prog: prog, cps: cps}, nil
 }
 
-// measureCheckpoints is the checkpoint schedule: one core per checkpoint
-// of ss, each warmed and measured for one
-// window, up to cfg.Workers at a time. Samples land in checkpoint order, so
-// the fold is the same whichever finishes first. Cancellation: queued
-// samples stop starting and running cores stop mid-window once ctx is done.
+// measureCheckpoints is the checkpoint schedule: one core per checkpoint of
+// ss, each warmed and measured for one window, up to cfg.Workers at a time.
+// Samples land in checkpoint order, so the fold is the same whichever
+// finishes first. Cancellation: queued samples stop starting and running
+// cores stop mid-window once ctx is done. It is a function of its own
+// because its closure moves cfg to the heap; the continuous schedule in
+// MeasureCell keeps cfg on the stack.
 func measureCheckpoints(ctx context.Context, ss *SampleSeries, pol core.Policy, inOrder bool, cfg Config) ([]ooo.Stats, error) {
 	out := make([]ooo.Stats, len(ss.cps))
 	err := par.RunCtx(ctx, len(ss.cps), cfg.workerCount(), func(i int) error {
