@@ -59,8 +59,9 @@ perf-ab:
 perf-report:
 	sh scripts/perf_report.sh
 
-## golden-identity: regenerate the quick sweep and the attack matrix at two
-## worker counts and byte-diff each against testdata/golden/
+## golden-identity: regenerate the quick sweeps, the attack matrix and the
+## fuzz census at two worker counts and byte-diff each against
+## testdata/golden/
 golden-identity:
 	sh scripts/golden_identity.sh
 
