@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -37,10 +38,19 @@ type Benchmark struct {
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
-// File is one BENCH_<n>.json: a point on the perf trajectory.
+// File is one BENCH_<n>.json: a point on the perf trajectory. The host
+// fields fingerprint the machine the numbers were taken on: GoVersion comes
+// from a `go version` line (scripts/bench_json.sh prints one first), GOOS,
+// GOARCH and CPU from the `go test -bench` header, and GOMAXPROCS from the
+// benchmark names' suffix (absent, so 0, when it is 1, which `go test`
+// does not print).
 type File struct {
 	Index      int         `json:"index"`
 	GoVersion  string      `json:"go_version,omitempty"`
+	GOOS       string      `json:"goos,omitempty"`
+	GOARCH     string      `json:"goarch,omitempty"`
+	CPU        string      `json:"cpu,omitempty"`
+	GOMAXPROCS int         `json:"gomaxprocs,omitempty"`
 	Note       string      `json:"note,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
@@ -82,13 +92,23 @@ func main() {
 //	BenchmarkName-8   100   12345 ns/op   67 custom-unit   8 B/op   2 allocs/op
 //
 // i.e. the benchmark name, the iteration count, then (value, unit) pairs.
-func parse(r *os.File, index int, note string) (*File, error) {
+// The header lines before them (`goos: linux`, `cpu: ...`) and a
+// `go version go1.24.0 linux/amd64` line fill the host fields.
+func parse(r io.Reader, index int, note string) (*File, error) {
 	f := &File{Index: index, Note: note}
+	header := map[string]*string{"goos": &f.GOOS, "goarch": &f.GOARCH, "cpu": &f.CPU}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
 		line := sc.Text()
-		if strings.HasPrefix(line, "go: ") || strings.HasPrefix(line, "goversion:") {
+		if v, ok := strings.CutPrefix(line, "go version "); ok && f.GoVersion == "" {
+			f.GoVersion, _, _ = strings.Cut(v, " ")
+			continue
+		}
+		if k, v, ok := strings.Cut(line, ": "); ok && header[k] != nil {
+			if *header[k] == "" {
+				*header[k] = v
+			}
 			continue
 		}
 		fields := strings.Fields(line)
@@ -97,8 +117,11 @@ func parse(r *os.File, index int, note string) (*File, error) {
 		}
 		name := fields[0]
 		if i := strings.LastIndex(name, "-"); i > 0 {
-			if _, err := strconv.Atoi(name[i+1:]); err == nil {
-				name = name[:i] // strip the -GOMAXPROCS suffix
+			if procs, err := strconv.Atoi(name[i+1:]); err == nil {
+				if f.GOMAXPROCS != 0 && f.GOMAXPROCS != procs {
+					return nil, fmt.Errorf("line %q: GOMAXPROCS %d, earlier lines ran at %d", line, procs, f.GOMAXPROCS)
+				}
+				name, f.GOMAXPROCS = name[:i], procs
 			}
 		}
 		iters, err := strconv.ParseInt(fields[1], 10, 64)

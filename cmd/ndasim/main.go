@@ -84,8 +84,12 @@ func main() {
 		col.Attach(c)
 	}
 	if *traceFlag {
-		c.TraceCommit = func(pc uint64, inst isa.Inst) {
-			fmt.Printf("%#08x  %v\n", pc, inst)
+		// The one retirement hook prints, then feeds the collector.
+		c.TraceRetire = func(ev ooo.TraceEvent) {
+			fmt.Printf("%#08x  %v\n", ev.PC, ev.Inst)
+			if col != nil {
+				col.Record(ev)
+			}
 		}
 	}
 	if err := c.Run(*maxCycles); err != nil {

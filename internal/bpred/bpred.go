@@ -94,7 +94,7 @@ func b2u(b bool) uint64 {
 // wrong paths — and never reverted, which is what makes it usable as a
 // covert channel (paper §3).
 type BTB struct {
-	sets  [][]btbEntry
+	sets  []btbEntry // set s is sets[s*ways : (s+1)*ways]
 	ways  int
 	mask  uint64
 	clock uint64
@@ -117,17 +117,14 @@ func NewBTB(entries, ways int) *BTB {
 	if numSets <= 0 || numSets&(numSets-1) != 0 {
 		panic("bpred: BTB set count must be a positive power of two")
 	}
-	sets := make([][]btbEntry, numSets)
-	backing := make([]btbEntry, numSets*ways)
-	for i := range sets {
-		sets[i], backing = backing[:ways], backing[ways:]
-	}
-	return &BTB{sets: sets, ways: ways, mask: uint64(numSets - 1)}
+	return &BTB{sets: make([]btbEntry, numSets*ways), ways: ways, mask: uint64(numSets - 1)}
 }
 
-func (b *BTB) index(pc uint64) (int, uint64) {
+// index returns pc's set and tag.
+func (b *BTB) index(pc uint64) ([]btbEntry, uint64) {
 	line := pc >> 2
-	return int(line & b.mask), line >> 1 // tag keeps the set bits' upper part plus more
+	s := int(line&b.mask) * b.ways
+	return b.sets[s : s+b.ways], line >> 1 // tag keeps the set bits' upper part plus more
 }
 
 // Lookup returns the predicted target for the branch at pc.
@@ -135,8 +132,8 @@ func (b *BTB) Lookup(pc uint64) (target uint64, ok bool) {
 	b.Lookups++
 	set, tag := b.index(pc)
 	b.clock++
-	for i := range b.sets[set] {
-		e := &b.sets[set][i]
+	for i := range set {
+		e := &set[i]
 		if e.valid && e.tag == tag {
 			e.stamp = b.clock
 			b.Hits++
@@ -152,8 +149,8 @@ func (b *BTB) Update(pc, target uint64) {
 	b.clock++
 	victim := 0
 	var oldest uint64 = ^uint64(0)
-	for i := range b.sets[set] {
-		e := &b.sets[set][i]
+	for i := range set {
+		e := &set[i]
 		if e.valid && e.tag == tag {
 			e.target = target
 			e.stamp = b.clock
@@ -165,14 +162,14 @@ func (b *BTB) Update(pc, target uint64) {
 			victim, oldest = i, e.stamp
 		}
 	}
-	b.sets[set][victim] = btbEntry{valid: true, tag: tag, target: target, stamp: b.clock}
+	set[victim] = btbEntry{valid: true, tag: tag, target: target, stamp: b.clock}
 }
 
 // Peek returns the target for pc without touching LRU state or stats.
 func (b *BTB) Peek(pc uint64) (uint64, bool) {
 	set, tag := b.index(pc)
-	for i := range b.sets[set] {
-		e := &b.sets[set][i]
+	for i := range set {
+		e := &set[i]
 		if e.valid && e.tag == tag {
 			return e.target, true
 		}

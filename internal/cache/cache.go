@@ -72,7 +72,7 @@ func (w *way) valid() bool { return w.stamp != 0 }
 // Cache is a single set-associative cache with true-LRU replacement.
 type Cache struct {
 	p       Params
-	sets    [][]way
+	ways    []way // set s is ways[s*p.Ways : (s+1)*p.Ways]
 	numSets int
 	shift   uint // log2(LineBytes)
 	clock   uint64
@@ -99,12 +99,7 @@ func New(p Params) *Cache {
 	if 1<<shift != p.LineBytes {
 		panic(fmt.Sprintf("cache %s: line size %d not a power of two", p.Name, p.LineBytes))
 	}
-	sets := make([][]way, numSets)
-	backing := make([]way, numSets*p.Ways)
-	for i := range sets {
-		sets[i], backing = backing[:p.Ways], backing[p.Ways:]
-	}
-	return &Cache{p: p, sets: sets, numSets: numSets, shift: shift}
+	return &Cache{p: p, ways: make([]way, numSets*p.Ways), numSets: numSets, shift: shift}
 }
 
 // Params returns the cache's configuration.
@@ -116,9 +111,11 @@ func (c *Cache) Stats() Stats { return c.stats }
 // ResetStats zeroes the hit/miss counters without touching contents.
 func (c *Cache) ResetStats() { c.stats = Stats{} }
 
-func (c *Cache) index(addr uint64) (set int, tag uint64) {
+// index returns addr's set and tag.
+func (c *Cache) index(addr uint64) (set []way, tag uint64) {
 	line := addr >> c.shift
-	return int(line & uint64(c.numSets-1)), line >> uint(log2(c.numSets))
+	s := int(line&uint64(c.numSets-1)) * c.p.Ways
+	return c.ways[s : s+c.p.Ways], line >> uint(log2(c.numSets))
 }
 
 func log2(n int) int {
@@ -134,8 +131,8 @@ func log2(n int) int {
 func (c *Cache) Lookup(addr uint64) bool {
 	set, tag := c.index(addr)
 	c.clock++
-	for i := range c.sets[set] {
-		w := &c.sets[set][i]
+	for i := range set {
+		w := &set[i]
 		if w.valid() && w.tag == tag {
 			w.stamp = c.clock
 			c.stats.Hits++
@@ -150,8 +147,8 @@ func (c *Cache) Lookup(addr uint64) bool {
 // or counters. Used by validation logic and by tests.
 func (c *Cache) Present(addr uint64) bool {
 	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		w := &c.sets[set][i]
+	for i := range set {
+		w := &set[i]
 		if w.valid() && w.tag == tag {
 			return true
 		}
@@ -167,14 +164,14 @@ func (c *Cache) Install(addr uint64) (evicted bool) {
 	c.clock++
 	victim := -1
 	var oldest uint64 = ^uint64(0)
-	for i := range c.sets[set] {
-		w := &c.sets[set][i]
+	for i := range set {
+		w := &set[i]
 		if w.valid() && w.tag == tag {
 			w.stamp = c.clock
 			return false
 		}
 		if !w.valid() {
-			if victim == -1 || c.sets[set][victim].valid() {
+			if victim == -1 || set[victim].valid() {
 				victim = i
 			}
 			oldest = 0
@@ -182,7 +179,7 @@ func (c *Cache) Install(addr uint64) (evicted bool) {
 			victim, oldest = i, w.stamp
 		}
 	}
-	w := &c.sets[set][victim]
+	w := &set[victim]
 	evicted = w.valid()
 	*w = way{tag: tag, stamp: c.clock}
 	return evicted
@@ -191,8 +188,8 @@ func (c *Cache) Install(addr uint64) (evicted bool) {
 // Flush removes addr's line if present and reports whether it was.
 func (c *Cache) Flush(addr uint64) bool {
 	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		w := &c.sets[set][i]
+	for i := range set {
+		w := &set[i]
 		if w.valid() && w.tag == tag {
 			w.stamp = 0
 			return true
@@ -203,11 +200,7 @@ func (c *Cache) Flush(addr uint64) bool {
 
 // InvalidateAll empties the cache (contents only; stats are kept).
 func (c *Cache) InvalidateAll() {
-	for s := range c.sets {
-		for i := range c.sets[s] {
-			c.sets[s][i] = way{}
-		}
-	}
+	clear(c.ways)
 }
 
 // LineBytes returns the cache's line size.

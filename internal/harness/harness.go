@@ -365,6 +365,24 @@ func (c cellCore) sample(cfg *Config, out []ooo.Stats) error {
 	return nil
 }
 
+// takeSeries returns one checkpoint series per spec, taken in parallel, or
+// nil entries when cfg does not sample from checkpoints. A series depends
+// only on its workload, so it is shared read-only by every measurement of
+// that workload; restoring clones the memory, so the series itself is
+// never written after this phase.
+func takeSeries(ctx context.Context, specs []workload.Spec, cfg Config) ([]*SampleSeries, error) {
+	series := make([]*SampleSeries, len(specs))
+	if !cfg.UseCheckpoints {
+		return series, nil
+	}
+	err := par.RunCtx(ctx, len(specs), cfg.workerCount(), func(i int) error {
+		var err error
+		series[i], err = TakeSamples(specs[i], cfg)
+		return err
+	})
+	return series, err
+}
+
 // RunSweepCtx measures every benchmark under every policy (and, when
 // includeInOrder is set, the in-order core), fanning the cells out over
 // cfg.Workers goroutines. progress, if non-nil, receives one line per
@@ -393,24 +411,15 @@ func RunSweepCtx(ctx context.Context, specs []workload.Spec, policies []core.Pol
 	}
 	sw := NewSweep(workloads, configs)
 
-	// In checkpoint mode the sampling points depend only on the workload,
-	// so each workload's series is captured once (in parallel) and shared
-	// read-only by all of its cells; restoring clones the memory, so the
-	// series itself is never written after this phase.
-	var series []*SampleSeries
+	series, err := takeSeries(ctx, specs, cfg)
+	if err != nil {
+		return nil, err
+	}
 	var seriesLeft []atomic.Int64 // cells still to run per workload
 	if cfg.UseCheckpoints {
-		series = make([]*SampleSeries, len(specs))
 		seriesLeft = make([]atomic.Int64, len(specs))
 		for i := range seriesLeft {
 			seriesLeft[i].Store(int64(len(configs)))
-		}
-		if err := par.RunCtx(ctx, len(specs), cfg.workerCount(), func(i int) error {
-			var err error
-			series[i], err = TakeSamples(specs[i], cfg)
-			return err
-		}); err != nil {
-			return nil, err
 		}
 	}
 
@@ -454,13 +463,9 @@ func RunSweepCtx(ctx context.Context, specs []workload.Spec, policies []core.Pol
 		done++
 		progress(fmt.Sprintf("[%3d/%3d] %-18s %-14s CPI %s", done, len(jobs), m.Config, m.Workload, m.CPI))
 	}
-	err := par.RunCtx(ctx, len(jobs), cfg.workerCount(), func(i int) error {
+	err = par.RunCtx(ctx, len(jobs), cfg.workerCount(), func(i int) error {
 		j := jobs[i]
-		var ss *SampleSeries
-		if cfg.UseCheckpoints {
-			ss = series[j.specIdx]
-		}
-		m, err := MeasureCell(ctx, j.spec, j.pol, j.inOrder, cellCfg, ss)
+		m, err := MeasureCell(ctx, j.spec, j.pol, j.inOrder, cellCfg, series[j.specIdx])
 		if err != nil {
 			return err
 		}

@@ -202,6 +202,10 @@ func RunFig9eCtx(ctx context.Context, policyName string, delays []int, specNames
 	if err != nil {
 		return nil, err
 	}
+	series, err := takeSeries(ctx, specs, cfg)
+	if err != nil {
+		return nil, err
+	}
 	// The points saturate the pool on their own; as in RunSweepCtx, each
 	// measures with one worker so checkpoint fan-outs do not nest pools.
 	pointCfg := cfg
@@ -210,7 +214,7 @@ func RunFig9eCtx(ctx context.Context, policyName string, delays []int, specNames
 	err = par.RunCtx(ctx, len(cpis), cfg.workerCount(), func(i int) error {
 		pol := basePol
 		pol.ExtraBroadcastDelay = delays[i/len(specs)]
-		m, err := MeasureCell(ctx, specs[i%len(specs)], pol, false, pointCfg, nil)
+		m, err := MeasureCell(ctx, specs[i%len(specs)], pol, false, pointCfg, series[i%len(specs)])
 		if err != nil {
 			return err
 		}

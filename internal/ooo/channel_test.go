@@ -107,3 +107,42 @@ main:   li   t0, 0x2000
 		}
 	}
 }
+
+// TestTraceRetireCoversFaultingCommit checks that TraceRetire fires once per
+// committed instruction, the faulting one included, and marks that one.
+func TestTraceRetireCoversFaultingCommit(t *testing.T) {
+	p, err := asm.Assemble(`
+main:    la    t0, handler
+         wrmsr 0x0, t0
+         addi  t1, zero, 5
+         rdmsr t2, 0x10
+         addi  t1, t1, 1
+handler: addi  t3, zero, 9
+         halt
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewFromProgram(p, core.Baseline(), DefaultParams())
+	var evs []TraceEvent
+	c.TraceRetire = func(ev TraceEvent) { evs = append(evs, ev) }
+	if err := c.Run(100_000); err != nil {
+		t.Fatal(err)
+	}
+	if uint64(len(evs)) != c.Retired() {
+		t.Fatalf("%d TraceRetire events, %d retired", len(evs), c.Retired())
+	}
+	faults := 0
+	for _, ev := range evs {
+		if ev.Fault == isa.FaultNone {
+			continue
+		}
+		faults++
+		if ev.Inst.Op != isa.OpRdmsr || ev.Fault != isa.FaultPrivilegeMSR {
+			t.Errorf("fault %v on %v, want %v on the rdmsr", ev.Fault, ev.Inst, isa.FaultPrivilegeMSR)
+		}
+	}
+	if faults != 1 {
+		t.Fatalf("%d faulting events, want 1", faults)
+	}
+}

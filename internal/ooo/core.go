@@ -93,14 +93,10 @@ type Core struct {
 	// promptly on timeout or job cancellation.
 	Cancel <-chan struct{}
 
-	// TraceCommit, when non-nil, is called for every committed instruction
-	// (including faulting ones) in program order. Used by differential
-	// tests and the ndasim -trace flag.
-	TraceCommit func(pc uint64, inst isa.Inst)
-
 	// TraceRetire, when non-nil, receives a full per-instruction timing
-	// record at retirement; package trace renders these into pipeline
-	// diagrams.
+	// record for every committed instruction in program order, a faulting
+	// one included (its Fault is set). Package trace renders these into
+	// pipeline diagrams, and ndasim -trace prints them.
 	TraceRetire func(ev TraceEvent)
 
 	// TraceChannel, when non-nil, receives every attacker-observable
@@ -161,15 +157,9 @@ type Core struct {
 	// this cycle while an exposed load validates.
 	commitValidate uint64
 
-	// Propagation-sanitizer scratch (sanitizer.go); allocated by New only
-	// when p.Sanitize is set.
-	sanCount       uint64
-	sanLog         []Violation
-	sanWriterMark  []uint64
-	sanWriterSeq   []uint64
-	sanWriterBcast []bool
-	sanNodes       []core.Node
-	sanNodePtrs    []*core.Node
+	// san is the propagation sanitizer (sanitizer.go), or nil when it is
+	// off.
+	san *sanitizer
 
 	stats Stats
 }
@@ -218,11 +208,7 @@ func New(prog *isa.Program, m *mem.Memory, pol core.Policy, p Params) *Core {
 		c.bypassed[i] = bypassed[i*p.SQSize : i*p.SQSize : (i+1)*p.SQSize]
 	}
 	if p.Sanitize {
-		c.sanWriterMark = make([]uint64, p.PhysRegs)
-		c.sanWriterSeq = make([]uint64, p.PhysRegs)
-		c.sanWriterBcast = make([]bool, p.PhysRegs)
-		c.sanNodes = make([]core.Node, p.ROBSize)
-		c.sanNodePtrs = make([]*core.Node, p.ROBSize)
+		c.san = newSanitizer(p)
 	}
 	// Map arch registers to the first NumGPR physical registers; the rest
 	// form the free list.
@@ -399,7 +385,6 @@ func (c *Core) cancelled() bool {
 //
 //ndavet:hotpath
 func (c *Core) Run(maxCycles uint64) error {
-	jump := !c.p.Sanitize
 	for !c.halted {
 		if c.cycle >= maxCycles {
 			return fmt.Errorf("ooo: exceeded %d cycles without halting (pc=%#x, rob=%d)", maxCycles, c.fetchPC, c.robLen)
@@ -410,7 +395,7 @@ func (c *Core) Run(maxCycles uint64) error {
 		if err := c.Step(); err != nil {
 			return err
 		}
-		if jump && !c.progress && !c.halted {
+		if !c.progress && !c.halted {
 			c.skipAhead(maxCycles)
 		}
 	}
@@ -423,7 +408,6 @@ func (c *Core) Run(maxCycles uint64) error {
 //
 //ndavet:hotpath
 func (c *Core) RunInsts(n, maxCycles uint64) error {
-	jump := !c.p.Sanitize
 	target := c.retired + n
 	for !c.halted && c.retired < target {
 		if c.cycle >= maxCycles {
@@ -435,7 +419,7 @@ func (c *Core) RunInsts(n, maxCycles uint64) error {
 		if err := c.Step(); err != nil {
 			return err
 		}
-		if jump && !c.progress && !c.halted {
+		if !c.progress && !c.halted {
 			c.skipAhead(maxCycles)
 		}
 	}

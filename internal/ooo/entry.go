@@ -84,11 +84,13 @@ type Entry struct {
 
 // TraceEvent is the per-instruction life-cycle record emitted to
 // Core.TraceRetire: the cycle of each pipeline milestone (paper Fig. 2's
-// steps, plus fetch and retire).
+// steps, plus fetch and retire). A faulting instruction's Retire is the
+// cycle its fault was delivered.
 type TraceEvent struct {
 	Seq       uint64
 	PC        uint64
 	Inst      isa.Inst
+	Fault     isa.FaultKind // FaultNone unless the instruction faulted
 	Fetch     uint64
 	Dispatch  uint64
 	Issue     uint64

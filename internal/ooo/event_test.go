@@ -196,72 +196,92 @@ func stepReference(t *testing.T, c *Core, maxCycles uint64) {
 // TestRunMatchesPerCycleStepping is the property test: for random programs
 // under every policy, the jumping Run and the per-cycle reference must agree
 // on every statistic, the final cycle count, and the architectural state.
+// With the sanitizer on, both must also be free of violations: a sanitized
+// Run jumps like any other.
 func TestRunMatchesPerCycleStepping(t *testing.T) {
-	params := DefaultParams()
-	for _, pol := range core.All() {
-		for seed := int64(0); seed < 3; seed++ {
-			prog := workload.Random(4200+seed, 400)
-			jumped := NewFromProgram(prog, pol, params)
-			if err := jumped.Run(maxCycles); err != nil {
-				t.Fatalf("%s seed %d: %v", pol.Name, seed, err)
-			}
-			stepped := NewFromProgram(prog, pol, params)
-			stepReference(t, stepped, maxCycles)
+	for _, sanitize := range []bool{false, true} {
+		params := DefaultParams()
+		params.Sanitize = sanitize
+		for _, pol := range core.All() {
+			for seed := int64(0); seed < 3; seed++ {
+				prog := workload.Random(4200+seed, 400)
+				jumped := NewFromProgram(prog, pol, params)
+				if err := jumped.Run(maxCycles); err != nil {
+					t.Fatalf("%s seed %d sanitize=%v: %v", pol.Name, seed, sanitize, err)
+				}
+				stepped := NewFromProgram(prog, pol, params)
+				stepReference(t, stepped, maxCycles)
 
-			if jumped.Cycles() != stepped.Cycles() {
-				t.Errorf("%s seed %d: cycles %d (jumped) != %d (stepped)",
-					pol.Name, seed, jumped.Cycles(), stepped.Cycles())
-			}
-			if jumped.Retired() != stepped.Retired() {
-				t.Errorf("%s seed %d: retired %d != %d",
-					pol.Name, seed, jumped.Retired(), stepped.Retired())
-			}
-			if *jumped.Stats() != *stepped.Stats() {
-				t.Errorf("%s seed %d: stats diverge:\n jumped:  %+v\n stepped: %+v",
-					pol.Name, seed, *jumped.Stats(), *stepped.Stats())
-			}
-			if jumped.Regs() != stepped.Regs() {
-				t.Errorf("%s seed %d: architectural registers diverge", pol.Name, seed)
+				if jumped.Cycles() != stepped.Cycles() {
+					t.Errorf("%s seed %d sanitize=%v: cycles %d (jumped) != %d (stepped)",
+						pol.Name, seed, sanitize, jumped.Cycles(), stepped.Cycles())
+				}
+				if jumped.Retired() != stepped.Retired() {
+					t.Errorf("%s seed %d sanitize=%v: retired %d != %d",
+						pol.Name, seed, sanitize, jumped.Retired(), stepped.Retired())
+				}
+				if *jumped.Stats() != *stepped.Stats() {
+					t.Errorf("%s seed %d sanitize=%v: stats diverge:\n jumped:  %+v\n stepped: %+v",
+						pol.Name, seed, sanitize, *jumped.Stats(), *stepped.Stats())
+				}
+				if jumped.Regs() != stepped.Regs() {
+					t.Errorf("%s seed %d sanitize=%v: architectural registers diverge", pol.Name, seed, sanitize)
+				}
+				wantClean(t, jumped, stepped)
 			}
 		}
 	}
 }
 
+// wantClean requires the sanitizer to have logged nothing on either run.
+func wantClean(t *testing.T, jumped, stepped *Core) {
+	t.Helper()
+	if jumped.SanitizerViolations() != 0 || stepped.SanitizerViolations() != 0 {
+		t.Errorf("sanitizer violations: %d jumped %v, %d stepped %v",
+			jumped.SanitizerViolations(), jumped.SanitizerLog(), stepped.SanitizerViolations(), stepped.SanitizerLog())
+	}
+}
+
 // TestRunInstsMatchesPerCycleStepping checks the same property on the
-// sampling-harness path: fixed instruction windows with warm-up resets.
+// sampling-harness path: fixed instruction windows with warm-up resets,
+// with the sanitizer off and on.
 func TestRunInstsMatchesPerCycleStepping(t *testing.T) {
-	params := DefaultParams()
 	prog := workload.Random(777, 4000)
-	for _, pol := range core.All() {
-		jumped := NewFromProgram(prog, pol, params)
-		if err := jumped.RunInsts(500, maxCycles); err != nil {
-			t.Fatalf("%s: %v", pol.Name, err)
-		}
-		jumped.ResetStats()
-		if err := jumped.RunInsts(1000, maxCycles); err != nil {
-			t.Fatalf("%s: %v", pol.Name, err)
-		}
-
-		stepped := NewFromProgram(prog, pol, params)
-		for !stepped.halted && stepped.retired < 500 {
-			if err := stepped.Step(); err != nil {
-				t.Fatal(err)
+	for _, sanitize := range []bool{false, true} {
+		params := DefaultParams()
+		params.Sanitize = sanitize
+		for _, pol := range core.All() {
+			jumped := NewFromProgram(prog, pol, params)
+			if err := jumped.RunInsts(500, maxCycles); err != nil {
+				t.Fatalf("%s: %v", pol.Name, err)
 			}
-		}
-		stepped.ResetStats()
-		target := stepped.retired + 1000
-		for !stepped.halted && stepped.retired < target {
-			if err := stepped.Step(); err != nil {
-				t.Fatal(err)
+			jumped.ResetStats()
+			if err := jumped.RunInsts(1000, maxCycles); err != nil {
+				t.Fatalf("%s: %v", pol.Name, err)
 			}
-		}
 
-		if jumped.Cycles() != stepped.Cycles() {
-			t.Errorf("%s: cycles %d != %d", pol.Name, jumped.Cycles(), stepped.Cycles())
-		}
-		if *jumped.Stats() != *stepped.Stats() {
-			t.Errorf("%s: measurement-window stats diverge:\n jumped:  %+v\n stepped: %+v",
-				pol.Name, *jumped.Stats(), *stepped.Stats())
+			stepped := NewFromProgram(prog, pol, params)
+			for !stepped.halted && stepped.retired < 500 {
+				if err := stepped.Step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			stepped.ResetStats()
+			target := stepped.retired + 1000
+			for !stepped.halted && stepped.retired < target {
+				if err := stepped.Step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			if jumped.Cycles() != stepped.Cycles() {
+				t.Errorf("%s sanitize=%v: cycles %d != %d", pol.Name, sanitize, jumped.Cycles(), stepped.Cycles())
+			}
+			if *jumped.Stats() != *stepped.Stats() {
+				t.Errorf("%s sanitize=%v: measurement-window stats diverge:\n jumped:  %+v\n stepped: %+v",
+					pol.Name, sanitize, *jumped.Stats(), *stepped.Stats())
+			}
+			wantClean(t, jumped, stepped)
 		}
 	}
 }

@@ -73,11 +73,11 @@ func (c *Core) dispatchStage() {
 		c.iqInsert(e)
 		if inst.IsLoad() {
 			c.bypassed[e.Slot] = c.bypassed[e.Slot][:0]
-			//ndavet:allow alloclint:op queue append; backing arrays reach steady capacity during warm-up
+			//ndavet:allow alloclint:op queue append; the LQ's capacity is fixed at construction and dispatch stalls when it is full
 			c.lq = append(c.lq, e.Slot)
 		}
 		if inst.IsStore() {
-			//ndavet:allow alloclint:op queue append; backing arrays reach steady capacity during warm-up
+			//ndavet:allow alloclint:op queue append; the SQ's capacity is fixed at construction and dispatch stalls when it is full
 			c.sq = append(c.sq, e.Slot)
 		}
 		if inst.Op == isa.OpFence {

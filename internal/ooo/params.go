@@ -75,10 +75,11 @@ type Params struct {
 	// this many consecutive cycles (a simulator bug guard).
 	DeadlockCycles uint64
 
-	// Sanitize enables the per-cycle propagation sanitizer (sanitizer.go):
-	// an oracle asserting that no consumer issues on a value whose producer
-	// was unsafe at broadcast-defer time. Costs a ROB scan per cycle; used
-	// by the static/dynamic cross-validation tests.
+	// Sanitize enables the propagation sanitizer (sanitizer.go): an oracle,
+	// run every simulated cycle, asserting that no consumer issues on a
+	// value whose producer was unsafe at broadcast-defer time. Costs two
+	// ROB walks per stepped cycle; used by the static/dynamic
+	// cross-validation tests and the differential fuzzer.
 	Sanitize bool
 }
 

@@ -25,15 +25,16 @@ func (c *Core) Step() error {
 	if err := c.commitStage(); err != nil {
 		return err
 	}
-	if c.halted {
-		c.checkInvariants()
-		return nil
+	if !c.halted {
+		c.issueStage()
+		c.dispatchStage()
+		c.fetchStage()
 	}
-	c.issueStage()
-	c.dispatchStage()
-	c.fetchStage()
-	c.checkInvariants()
+	if c.san != nil {
+		c.san.check(c)
+	}
 
+	// A halting cycle commits, so it never trips the deadlock guard.
 	if c.cycle-c.lastCommit > c.p.DeadlockCycles {
 		return c.deadlockErr()
 	}
@@ -436,10 +437,7 @@ func (c *Core) commitInsts() (int, error) {
 		// squash, giving a direct dependent of the faulting load one
 		// cycle to issue and fill the cache.
 		if e.Fault != isa.FaultNone {
-			if c.TraceCommit != nil {
-				//ndavet:allow alloclint:call trace hook; nil in measured runs
-				c.TraceCommit(e.PC, e.Inst)
-			}
+			c.traceRetire(e)
 			c.retired++
 			committed++
 			c.stats.Faults++
@@ -481,22 +479,7 @@ func (c *Core) commitInsts() (int, error) {
 
 // retire commits the head entry's architectural side effects and frees it.
 func (c *Core) retire(e *Entry) error {
-	if c.TraceCommit != nil {
-		//ndavet:allow alloclint:call trace hook; nil in measured runs
-		c.TraceCommit(e.PC, e.Inst)
-	}
-	if c.TraceRetire != nil {
-		ev := TraceEvent{
-			Seq: e.Seq, PC: e.PC, Inst: e.Inst,
-			Fetch: e.FetchedAt, Dispatch: e.DispatchedAt,
-			Issue: e.IssuedAt, Complete: e.CompleteAt, Retire: c.cycle,
-		}
-		if e.DestP != noPReg {
-			ev.Broadcast = e.BcastCycle
-		}
-		//ndavet:allow alloclint:call trace hook; nil in measured runs
-		c.TraceRetire(ev)
-	}
+	c.traceRetire(e)
 	inst := e.Inst
 	switch {
 	case inst.IsStore():
@@ -536,7 +519,7 @@ func (c *Core) retire(e *Entry) error {
 	}
 
 	if e.DestP != noPReg && e.PrevP != noPReg {
-		//ndavet:allow alloclint:op free-list append; the list never exceeds PhysRegs, whose backing array is allocated at reset
+		//ndavet:allow alloclint:op free-list append; the list never exceeds PhysRegs, the capacity New gives it
 		c.freeList = append(c.freeList, e.PrevP)
 	}
 	if e.Issued {
@@ -548,6 +531,25 @@ func (c *Core) retire(e *Entry) error {
 	c.robHead = ringIndex(c.robHead, 1, len(c.rob))
 	c.robLen--
 	return nil
+}
+
+// traceRetire hands the committing head e's life-cycle record to
+// TraceRetire. retire and the fault path both call it, so every committed
+// instruction is traced once.
+func (c *Core) traceRetire(e *Entry) {
+	if c.TraceRetire == nil {
+		return
+	}
+	ev := TraceEvent{
+		Seq: e.Seq, PC: e.PC, Inst: e.Inst, Fault: e.Fault,
+		Fetch: e.FetchedAt, Dispatch: e.DispatchedAt,
+		Issue: e.IssuedAt, Complete: e.CompleteAt, Retire: c.cycle,
+	}
+	if e.DestP != noPReg {
+		ev.Broadcast = e.BcastCycle
+	}
+	//ndavet:allow alloclint:call trace hook; nil in measured runs
+	c.TraceRetire(ev)
 }
 
 // deliverFault takes the architectural fault at the head of the ROB:
@@ -619,7 +621,7 @@ func (c *Core) squashFrom(seq, newPC uint64) {
 		if e.DestP != noPReg {
 			rd, _ := e.Inst.WritesReg()
 			c.rat[rd] = e.PrevP
-			//ndavet:allow alloclint:op free-list append; the list never exceeds PhysRegs, whose backing array is allocated at reset
+			//ndavet:allow alloclint:op free-list append; the list never exceeds PhysRegs, the capacity New gives it
 			c.freeList = append(c.freeList, e.DestP)
 		}
 		if e.InIQ {

@@ -7,9 +7,9 @@ import (
 	"nda/internal/isa"
 )
 
-// The propagation sanitizer is a per-cycle oracle for the NDA invariant the
-// whole defense rests on (paper §5): a value produced by an instruction that
-// is unsafe under the active policy must not wake or feed any consumer until
+// The propagation sanitizer is an oracle for the NDA invariant the whole
+// defense rests on (paper §5): a value produced by an instruction that is
+// unsafe under the active policy must not wake or feed any consumer until
 // the instruction becomes safe and its tag is broadcast. The checks run over
 // architecturally visible simulator state only — they recompute nothing from
 // the policy's internals beyond core.Policy.Unsafe — so a bug in either the
@@ -17,11 +17,10 @@ import (
 // other checks hold the cycle loop's incremental bookkeeping to the
 // full-ROB scans it replaced.
 //
-// Enabled by Params.Sanitize; off by default because the checks cost a ROB
-// scan per cycle. cmd/ndalint's cross-validation tests and the workload
-// sanity tests run with it on.
+// New installs it only when the parameters ask for it (see Params); the
+// cross-validation tests and the differential fuzzer run with it on.
 //
-// Checks, at the end of every cycle:
+// Checks, every simulated cycle:
 //
 //  1. ready-without-broadcast: no in-flight producer's destination physical
 //     register is marked ready before the producer's tag broadcast. The
@@ -51,14 +50,30 @@ import (
 //     invisible load is left unexposed at the end of a cycle; exposures
 //     happen in the cycle a load leaves the speculative shadow.
 //  8. ready-set: the wakeup scheduler matches a fresh scan of the issue
-//     queue. Each entry's waiting count equals its counted sources that
-//     have not broadcast, the ready set holds exactly the in-queue entries
-//     with none, and each register's waiter set holds exactly the
-//     in-queue entries counting it as unready.
+//     queue. Each entry's waiting count equals its counted sources whose
+//     in-flight producer has not broadcast, the ready set holds exactly the
+//     in-queue entries with none, and each register's waiter set holds
+//     exactly the in-queue entries counting it as unready.
 //  9. bcast-set: the pending-broadcast set equals the full-ROB scan for
 //     completed register writers that have not broadcast, in age order.
 // 10. fence-frontier: fencesInFlight and fenceSeq equal the full-ROB scan's
 //     count and oldest Seq of un-completed FENCEs.
+//
+// Checks 5 and 7 run the resolve-walk on copies of the in-flight nodes;
+// every other check runs in one age-ordered ROB walk. Producers and stores
+// are older than their consumers and forwarding loads, so by the time the
+// walk reaches an entry it has indexed every register writer and store the
+// entry's checks need.
+//
+// Run and RunInsts jump over dead cycles here as everywhere else, and the
+// checks lose nothing by it. skipTo changes only the clock and the bulk
+// stall counters, which no check reads. The checks keyed on the clock
+// (BcastCycle for check 2, IssuedAt for checks 3 and 4) cannot fire on a
+// cycle without progress, because a broadcast or an issue is progress.
+// Every other check is a function of state that a skipped cycle does not
+// change, so it would repeat the verdict of the stepped cycle before the
+// jump. TestRunMatchesPerCycleStepping holds a sanitized Run to sanitized
+// per-cycle stepping.
 
 // Violation is one sanitizer finding.
 type Violation struct {
@@ -76,82 +91,171 @@ func (v Violation) String() string {
 // maxSanitizerLog bounds the retained violation records; the count is exact.
 const maxSanitizerLog = 32
 
+// sanitizer holds the findings and the scratch of the checks.
+type sanitizer struct {
+	count uint64
+	log   []Violation
+
+	// The writer index, rebuilt by every walk: mark[p] == gen iff an entry
+	// the walk has visited writes physical register p (unique: the free
+	// list hands each register to at most one in-flight instruction), and
+	// seq[p] and bcast[p] are that writer's Seq and broadcast bit.
+	gen   uint64
+	mark  []uint64
+	seq   []uint64
+	bcast []bool
+	// stores is scratch for the ROB slots of the stores the walk has
+	// visited.
+	stores []int32
+	// nodes are the resolve-walk's copies of the in-flight nodes.
+	nodes []core.Node
+	ptrs  []*core.Node
+}
+
+func newSanitizer(p Params) *sanitizer {
+	return &sanitizer{
+		mark:   make([]uint64, p.PhysRegs),
+		seq:    make([]uint64, p.PhysRegs),
+		bcast:  make([]bool, p.PhysRegs),
+		stores: make([]int32, p.ROBSize),
+		nodes:  make([]core.Node, p.ROBSize),
+		ptrs:   make([]*core.Node, p.ROBSize),
+	}
+}
+
 // SanitizerViolations returns how many invariant violations the sanitizer
-// observed (0 when Params.Sanitize is off).
-func (c *Core) SanitizerViolations() uint64 { return c.sanCount }
+// observed (0 when it is off).
+func (c *Core) SanitizerViolations() uint64 {
+	if c.san == nil {
+		return 0
+	}
+	return c.san.count
+}
 
 // SanitizerLog returns up to maxSanitizerLog retained violations.
-func (c *Core) SanitizerLog() []Violation { return c.sanLog }
+func (c *Core) SanitizerLog() []Violation {
+	if c.san == nil {
+		return nil
+	}
+	return c.san.log
+}
 
-func (c *Core) sanViolate(check string, pc, seq uint64, format string, args ...any) {
-	c.sanCount++
-	if len(c.sanLog) < maxSanitizerLog {
-		//ndavet:allow alloclint:op sanitizer log append; runs only with Params.Sanitize set, and measured windows run with it off
-		c.sanLog = append(c.sanLog, Violation{
+func (s *sanitizer) violate(c *Core, check string, pc, seq uint64, format string, args ...any) {
+	s.count++
+	if len(s.log) < maxSanitizerLog {
+		//ndavet:allow alloclint:op sanitizer log append; the sanitizer is off in measured windows
+		s.log = append(s.log, Violation{
 			Cycle: c.cycle, Check: check, PC: pc, Seq: seq,
-			//ndavet:allow alloclint:call sanitizer detail formatting; measured windows run with the sanitizer off
+			//ndavet:allow alloclint:call sanitizer detail formatting; the sanitizer is off in measured windows
 			Detail: fmt.Sprintf(format, args...),
 		})
 	}
 }
 
-// checkInvariants runs the checks over the ROB. Called at the end of Step
-// (both the halted early-exit and the normal path).
-func (c *Core) checkInvariants() {
-	if !c.p.Sanitize {
-		return
-	}
-	c.sanCheckGuards()
-	c.sanCheckExec()
-	c.sanCheckBcast()
-	c.sanCheckReady()
-	c.sanCheckFences()
+// check runs every check over the end-of-cycle state. Step calls it once
+// per simulated cycle, the halting one included.
+func (s *sanitizer) check(c *Core) {
+	s.checkGuards(c)
 
-	// Pass 1: per-producer checks, and index the in-flight writer of every
-	// destination physical register (unique: the free list hands each preg
-	// to at most one in-flight instruction).
+	s.gen++
+	stores := 0         // s.stores[:stores] are the stores visited so far
+	exec, bcast := 0, 0 // set entries matched so far; -1 after a mismatch
+	fences, oldestFence := 0, uint64(0)
+	ready, waits, held := 0, 0, 0
 	for i := 0; i < c.robLen; i++ {
 		e := c.robAt(i)
+
+		// Checks 3 and 4.
+		if e.Issued && e.IssuedAt == c.cycle {
+			s.checkSource(c, e, e.Src1P)
+			if !e.Inst.IsStore() {
+				s.checkSource(c, e, e.Src2P)
+			}
+			if e.Inst.IsLoad() && e.ForwardSeq != 0 {
+				s.checkForward(c, e, s.stores[:stores])
+			}
+		}
+
+		// Check 8, entry by entry.
+		unready := 0
+		if e.InIQ {
+			unready = s.waitsOn(c, e, e.Src1P)
+			if !e.Inst.IsStore() && e.Src2P != e.Src1P {
+				unready += s.waitsOn(c, e, e.Src2P)
+			}
+		}
+		if int(e.waiting) != unready {
+			s.violate(c, "ready-set", e.PC, e.Seq, "%v waits on %d sources, %d have not broadcast", e.Inst, e.waiting, unready)
+		}
+		want := e.InIQ && unready == 0
+		if c.ready.has(e.Slot) != want {
+			s.violate(c, "ready-set", e.PC, e.Seq, "%v has ready bit %v, want %v", e.Inst, !want, want)
+		}
+		if want {
+			ready++
+		}
+		waits += unready
+
+		// Checks 6, 9 and 10.
+		if e.Issued && !e.Node.Completed {
+			s.matchSet(c, &exec, c.exec, e, "exec-set", "is executing", "executing")
+		}
+		if e.DestP != noPReg && e.Node.Completed && !e.Node.Broadcast {
+			s.matchSet(c, &bcast, c.bcast, e, "bcast-set", "awaits broadcast", "pending-broadcast")
+		}
+		if e.Inst.Op == isa.OpFence && !e.Node.Completed {
+			if fences == 0 {
+				oldestFence = e.Seq
+			}
+			fences++
+		}
+
+		if e.Inst.IsStore() {
+			s.stores[stores] = e.Slot
+			stores++
+		}
 		if e.DestP == noPReg {
 			continue
 		}
-		c.sanWriterMark[e.DestP] = c.cycle
-		c.sanWriterSeq[e.DestP] = e.Seq
-		c.sanWriterBcast[e.DestP] = e.Node.Broadcast
+		// Checks 1 and 2, then index e as its register's writer.
 		if !e.Node.Broadcast && c.regReady[e.DestP] {
-			c.sanViolate("ready-without-broadcast", e.PC, e.Seq,
+			s.violate(c, "ready-without-broadcast", e.PC, e.Seq,
 				"p%d is ready but %v has not broadcast (completed=%v)",
 				e.DestP, e.Inst, e.Node.Completed)
 		}
 		if e.Node.Broadcast && e.BcastCycle == c.cycle &&
-			c.policy.Unsafe(&e.Node, c.atHead(e)) {
-			c.sanViolate("unsafe-broadcast", e.PC, e.Seq,
+			c.policy.Unsafe(&e.Node, i == 0) {
+			s.violate(c, "unsafe-broadcast", e.PC, e.Seq,
 				"%v broadcast this cycle while unsafe under %s (underGuard=%v bypassGuards=%d class=%d)",
 				e.Inst, c.policy.Name, e.Node.UnderGuard, e.Node.BypassGuards, e.Node.Class)
 		}
+		s.mark[e.DestP], s.seq[e.DestP], s.bcast[e.DestP] = s.gen, e.Seq, e.Node.Broadcast
+		held += c.waitersOf(e.DestP).count()
 	}
 
-	// Pass 2: consumers that entered execution this cycle.
-	for i := 0; i < c.robLen; i++ {
-		e := c.robAt(i)
-		if !e.Issued || e.IssuedAt != c.cycle {
-			continue
-		}
-		c.sanCheckSource(e, e.Src1P)
-		if !e.Inst.IsStore() {
-			c.sanCheckSource(e, e.Src2P)
-		}
-		if e.Inst.IsLoad() && e.ForwardSeq != 0 {
-			c.sanCheckForward(e)
-		}
+	s.endSet(c, exec, c.exec, "exec-set", "executing")
+	s.endSet(c, bcast, c.bcast, "bcast-set", "pending-broadcast")
+	// Check 8's totals: with every expected ready and waiter bit present,
+	// equal totals mean no stray ones. Only in-flight writers' waiter sets
+	// are counted; a stray bit on a free register is counted once the
+	// register is renamed again.
+	if n := c.ready.count(); n != ready {
+		s.violate(c, "ready-set", 0, 0, "ready set holds %d slots, the issue queue has %d ready entries", n, ready)
+	}
+	if held != waits {
+		s.violate(c, "ready-set", 0, 0, "in-flight registers' waiter sets hold %d bits, the issue queue waits on %d sources", held, waits)
+	}
+	if fences != c.fencesInFlight || (fences > 0 && oldestFence != c.fenceSeq) {
+		s.violate(c, "fence-frontier", 0, oldestFence, "%d un-completed FENCEs, oldest seq %d; the frontier says %d, oldest seq %d",
+			fences, oldestFence, c.fencesInFlight, c.fenceSeq)
 	}
 }
 
-// sanCheckGuards applies checks 5 and 7: it runs the full resolve-walk on
+// checkGuards applies checks 5 and 7: it runs the full resolve-walk on
 // copies of the in-flight nodes, their guard bits cleared first, and
 // compares; then it looks for a safe load still awaiting exposure.
-func (c *Core) sanCheckGuards() {
-	nodes, ptrs := c.sanNodes[:c.robLen], c.sanNodePtrs[:c.robLen]
+func (s *sanitizer) checkGuards(c *Core) {
+	nodes, ptrs := s.nodes[:c.robLen], s.ptrs[:c.robLen]
 	for i := range nodes {
 		nodes[i] = c.robAt(i).Node
 		nodes[i].UnderGuard = false
@@ -161,155 +265,80 @@ func (c *Core) sanCheckGuards() {
 	for i := range nodes {
 		e := c.robAt(i)
 		if e.Node.UnderGuard != nodes[i].UnderGuard {
-			c.sanViolate("guard-frontier", e.PC, e.Seq,
+			s.violate(c, "guard-frontier", e.PC, e.Seq,
 				"%v has underGuard=%v, the resolve-walk gives %v", e.Inst, e.Node.UnderGuard, nodes[i].UnderGuard)
 		}
 		if c.policy.LoadVisibility == core.InvisibleUntilResolved &&
 			e.Invisible && !e.Exposed && e.Node.Completed && !nodes[i].UnderGuard {
-			c.sanViolate("unexposed-safe-load", e.PC, e.Seq,
+			s.violate(c, "unexposed-safe-load", e.PC, e.Seq,
 				"%v completed and left the speculative shadow but its line was not exposed", e.Inst)
 		}
 	}
 }
 
-// sanCheckExec applies check 6.
-func (c *Core) sanCheckExec() {
-	k := 0
-	for i := 0; i < c.robLen; i++ {
-		e := c.robAt(i)
-		if !e.Issued || e.Node.Completed {
-			continue
-		}
-		if k >= len(c.exec) || c.exec[k] != e.Slot {
-			c.sanViolate("exec-set", e.PC, e.Seq,
-				"%v is executing but is not entry %d of the executing set %v", e.Inst, k, c.exec)
-			return
-		}
-		k++
+// matchSet checks that e, the walk's next member of an age-ordered slot
+// set, is entry *k of the set, and advances *k. The first mismatch is
+// reported and sets *k to -1, which ends the comparison.
+func (s *sanitizer) matchSet(c *Core, k *int, set []int32, e *Entry, check, state, name string) {
+	if *k < 0 {
+		return
 	}
-	if k != len(c.exec) {
-		c.sanViolate("exec-set", 0, 0, "executing set %v holds %d entries the ROB does not", c.exec, len(c.exec)-k)
+	if *k >= len(set) || set[*k] != e.Slot {
+		s.violate(c, check, e.PC, e.Seq, "%v %s but is not entry %d of the %s set %v", e.Inst, state, *k, name, set)
+		*k = -1
+		return
+	}
+	*k++
+}
+
+// endSet reports set entries left over once the walk matched k of them.
+func (s *sanitizer) endSet(c *Core, k int, set []int32, check, name string) {
+	if k >= 0 && k != len(set) {
+		s.violate(c, check, 0, 0, "%s set %v holds %d entries the ROB does not", name, set, len(set)-k)
 	}
 }
 
-// sanCheckBcast applies check 9.
-func (c *Core) sanCheckBcast() {
-	k := 0
-	for i := 0; i < c.robLen; i++ {
-		e := c.robAt(i)
-		if e.DestP == noPReg || !e.Node.Completed || e.Node.Broadcast {
-			continue
-		}
-		if k >= len(c.bcast) || c.bcast[k] != e.Slot {
-			c.sanViolate("bcast-set", e.PC, e.Seq,
-				"%v awaits broadcast but is not entry %d of the pending-broadcast set %v", e.Inst, k, c.bcast)
-			return
-		}
-		k++
-	}
-	if k != len(c.bcast) {
-		c.sanViolate("bcast-set", 0, 0, "pending-broadcast set %v holds %d entries the ROB does not", c.bcast, len(c.bcast)-k)
-	}
+// unbroadcast reports whether p is written by an entry the walk has
+// visited, so an older in-flight one, that has not broadcast.
+func (s *sanitizer) unbroadcast(p int) bool {
+	return p != noPReg && s.mark[p] == s.gen && !s.bcast[p]
 }
 
-// sanCheckFences applies check 10.
-func (c *Core) sanCheckFences() {
-	n, oldest := 0, uint64(0)
-	for i := 0; i < c.robLen; i++ {
-		if e := c.robAt(i); e.Inst.Op == isa.OpFence && !e.Node.Completed {
-			if n == 0 {
-				oldest = e.Seq
-			}
-			n++
-		}
-	}
-	if n != c.fencesInFlight || (n > 0 && oldest != c.fenceSeq) {
-		c.sanViolate("fence-frontier", 0, oldest, "%d un-completed FENCEs, oldest seq %d; the frontier says %d, oldest seq %d",
-			n, oldest, c.fencesInFlight, c.fenceSeq)
-	}
-}
-
-// sanCheckReady applies check 8 entry by entry, then counts: with every
-// expected ready and waiter bit present, equal totals mean no stray ones.
-// An unready source register is always the destination of an in-flight
-// producer (the consumer is younger, so it cannot outlive a squashed one),
-// so only those registers' waiter sets are counted. A stray bit on a free
-// register is counted once the register is renamed again.
-func (c *Core) sanCheckReady() {
-	ready, waits, held := 0, 0, 0
-	for i := 0; i < c.robLen; i++ {
-		e := c.robAt(i)
-		unready := 0
-		if e.InIQ {
-			unready = c.sanWaitsOn(e, e.Src1P)
-			if !e.Inst.IsStore() && e.Src2P != e.Src1P {
-				unready += c.sanWaitsOn(e, e.Src2P)
-			}
-		}
-		if int(e.waiting) != unready {
-			c.sanViolate("ready-set", e.PC, e.Seq, "%v waits on %d sources, %d have not broadcast", e.Inst, e.waiting, unready)
-		}
-		want := e.InIQ && unready == 0
-		if c.ready.has(e.Slot) != want {
-			c.sanViolate("ready-set", e.PC, e.Seq, "%v has ready bit %v, want %v", e.Inst, !want, want)
-		}
-		if want {
-			ready++
-		}
-		waits += unready
-		if e.DestP != noPReg {
-			held += c.waitersOf(e.DestP).count()
-		}
-	}
-	if n := c.ready.count(); n != ready {
-		c.sanViolate("ready-set", 0, 0, "ready set holds %d slots, the issue queue has %d ready entries", n, ready)
-	}
-	if held != waits {
-		c.sanViolate("ready-set", 0, 0, "in-flight registers' waiter sets hold %d bits, the issue queue waits on %d sources", held, waits)
-	}
-}
-
-// sanWaitsOn returns 1 if p is an unready source of e, and checks that e is
+// waitsOn returns 1 if p is an unready source of e, and checks that e is
 // in p's waiter set.
-func (c *Core) sanWaitsOn(e *Entry, p int) int {
-	if p == noPReg || c.regReady[p] {
+func (s *sanitizer) waitsOn(c *Core, e *Entry, p int) int {
+	if !s.unbroadcast(p) {
 		return 0
 	}
 	if !c.waitersOf(p).has(e.Slot) {
-		c.sanViolate("ready-set", e.PC, e.Seq, "%v waits on p%d but is not in its waiter set", e.Inst, p)
+		s.violate(c, "ready-set", e.PC, e.Seq, "%v waits on p%d but is not in its waiter set", e.Inst, p)
 	}
 	return 1
 }
 
-// sanCheckForward applies check 4: the load e took its value from the store
-// with sequence number e.ForwardSeq this cycle; the store's data operand
-// must trace to a broadcast (or retired) producer.
-func (c *Core) sanCheckForward(e *Entry) {
-	for i := 0; i < c.robLen; i++ {
-		s := c.robAt(i)
-		if s.Seq != e.ForwardSeq {
-			continue
-		}
-		if src := s.Src2P; src != noPReg && c.sanWriterMark[src] == c.cycle &&
-			c.sanWriterSeq[src] < s.Seq && !c.sanWriterBcast[src] {
-			c.sanViolate("forward-before-broadcast", e.PC, e.Seq,
-				"%v forwarded from store seq %d whose data producer (seq %d, p%d) has not broadcast",
-				e.Inst, s.Seq, c.sanWriterSeq[src], src)
-		}
-		return
+// checkSource applies check 3 to one source of e.
+func (s *sanitizer) checkSource(c *Core, e *Entry, src int) {
+	if s.unbroadcast(src) {
+		s.violate(c, "issued-before-broadcast", e.PC, e.Seq,
+			"%v issued reading p%d before its producer (seq %d) broadcast",
+			e.Inst, src, s.seq[src])
 	}
 }
 
-func (c *Core) sanCheckSource(e *Entry, src int) {
-	if src == noPReg {
+// checkForward applies check 4: the load e took its value from the store
+// with sequence number e.ForwardSeq this cycle, one of the older stores;
+// the store's data operand must trace to a broadcast (or retired) producer.
+func (s *sanitizer) checkForward(c *Core, e *Entry, stores []int32) {
+	for i := len(stores) - 1; i >= 0; i-- {
+		st := c.entryAt(stores[i])
+		if st.Seq != e.ForwardSeq {
+			continue
+		}
+		if src := st.Src2P; s.unbroadcast(src) {
+			s.violate(c, "forward-before-broadcast", e.PC, e.Seq,
+				"%v forwarded from store seq %d whose data producer (seq %d, p%d) has not broadcast",
+				e.Inst, st.Seq, s.seq[src], src)
+		}
 		return
-	}
-	if c.sanWriterMark[src] != c.cycle {
-		return // producer already retired: broadcast long done
-	}
-	if c.sanWriterSeq[src] < e.Seq && !c.sanWriterBcast[src] {
-		c.sanViolate("issued-before-broadcast", e.PC, e.Seq,
-			"%v issued reading p%d before its producer (seq %d) broadcast",
-			e.Inst, src, c.sanWriterSeq[src])
 	}
 }

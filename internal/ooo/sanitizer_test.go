@@ -114,7 +114,7 @@ loop:   addi t0, t0, -1
 			c.bcast = saved
 			sawBcast = true
 		}
-		c.sanCount, c.sanLog = 0, nil
+		c.san.count, c.san.log = 0, nil
 	}
 	if !done() {
 		t.Fatalf("never observed an unguarded entry (%v), an executing one (%v), one waiting for an operand (%v), or a pending broadcast (%v)",
@@ -136,12 +136,12 @@ func waitingEntry(c *Core) *Entry {
 // wantFlag runs the end-of-cycle checks and requires a violation of check.
 func wantFlag(t *testing.T, c *Core, check string) {
 	t.Helper()
-	before := c.sanCount
-	c.checkInvariants()
-	if c.sanCount == before {
+	before := c.san.count
+	c.san.check(c)
+	if c.san.count == before {
 		t.Fatalf("sanitizer missed a forced %s violation", check)
 	}
-	if got := c.sanLog[len(c.sanLog)-1].Check; got != check {
+	if got := c.san.log[len(c.san.log)-1].Check; got != check {
 		t.Fatalf("logged %s, want %s", got, check)
 	}
 }
@@ -175,11 +175,11 @@ main:   li   t0, 1
 			if e.DestP == noPReg || e.Node.Broadcast || c.regReady[e.DestP] {
 				continue
 			}
-			before := c.sanCount
+			before := c.san.count
 			c.regReady[e.DestP] = true // the injected plumbing bug
-			c.checkInvariants()
+			c.san.check(c)
 			c.regReady[e.DestP] = false
-			if c.sanCount == before {
+			if c.san.count == before {
 				t.Fatalf("sanitizer missed forced ready-without-broadcast on p%d (seq %d)", e.DestP, e.Seq)
 			}
 			log := c.SanitizerLog()

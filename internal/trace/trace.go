@@ -21,13 +21,16 @@ type Collector struct {
 
 // Attach installs the collector on a core. Records accumulate from the next
 // retirement on.
-func (t *Collector) Attach(c *ooo.Core) {
-	c.TraceRetire = func(ev ooo.TraceEvent) {
-		if t.Limit > 0 && len(t.Records) >= t.Limit {
-			return
-		}
-		t.Records = append(t.Records, ev)
+func (t *Collector) Attach(c *ooo.Core) { c.TraceRetire = t.Record }
+
+// Record keeps one retirement record. A faulting instruction's record (a
+// nonzero Fault) is dropped: it never completes the pipeline it would be
+// drawn in.
+func (t *Collector) Record(ev ooo.TraceEvent) {
+	if ev.Fault != 0 || t.Limit > 0 && len(t.Records) >= t.Limit {
+		return
 	}
+	t.Records = append(t.Records, ev)
 }
 
 // Stage letters in the diagram:

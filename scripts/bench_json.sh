@@ -42,7 +42,9 @@ fi
 TMP=$(mktemp)
 trap 'rm -f "$TMP"' EXIT
 
-go test -run='^$' -bench=. -benchmem -benchtime=1x . >"$TMP"
+# The toolchain's version line fills the file's go_version.
+go version >"$TMP"
+go test -run='^$' -bench=. -benchmem -benchtime=1x . >>"$TMP"
 
 LOAD_DUR=${BENCH_LOAD_DURATION:-2s}
 go run ./cmd/ndaload -inproc -duration "$LOAD_DUR" -load 'local::2:hot' \
