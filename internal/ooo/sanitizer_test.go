@@ -122,6 +122,45 @@ loop:   addi t0, t0, -1
 	}
 }
 
+// TestSanitizerCatchesStaleFenceFrontier is the negative oracle for check
+// 10: a FENCE count or oldest-FENCE sequence number that drifts from the
+// ROB must be flagged.
+func TestSanitizerCatchesStaleFenceFrontier(t *testing.T) {
+	prog, err := asm.Assemble(`
+main:   li   t0, 64
+loop:   addi t0, t0, -1
+        ld   t1, 0(t0)
+        fence
+        add  t2, t2, t1
+        bne  t0, zero, loop
+        halt
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := DefaultParams()
+	params.Sanitize = true
+	c := NewFromProgram(prog, core.Baseline(), params)
+	for cycles := 0; cycles < 10000 && !c.halted; cycles++ {
+		if err := c.Step(); err != nil {
+			t.Fatal(err)
+		}
+		if c.SanitizerViolations() != 0 {
+			t.Fatalf("unexpected violations: %v", c.SanitizerLog())
+		}
+		if c.fencesInFlight == 0 {
+			continue
+		}
+		c.fencesInFlight++ // the injected bookkeeping bug: a phantom FENCE
+		wantFlag(t, c, "fence-frontier")
+		c.fencesInFlight--
+		c.fenceSeq++ // the injected bookkeeping bug: a stale frontier
+		wantFlag(t, c, "fence-frontier")
+		return
+	}
+	t.Fatal("never observed an un-completed FENCE")
+}
+
 // waitingEntry returns an issue-queue entry waiting for an operand's
 // broadcast, or nil.
 func waitingEntry(c *Core) *Entry {
